@@ -72,7 +72,7 @@ func main() {
 	sel := flag.String("e", "", "experiment id to run (default: all)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	workers := flag.Int("workers", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = serial)")
-	train := flag.Int("train", 0, "frame-train cap override for the batching experiments (0 = per-experiment default, 1 = per-frame path)")
+	train := flag.Int("train", 0, "frame-train cap override for the batching experiments (0 = per-experiment default, 1 = no coalescing)")
 	shards := flag.Int("shards", 0, "cap on the shard axis of the sharded experiment (0 = full 1/2/4/8 sweep; N keeps shard counts ≤ N plus the 1-shard reference)")
 	losses := flag.Bool("losses", false, "print the per-hop/per-reason loss table of the canonical oversubscribed fabric (E15 at 100% load) and exit")
 	writeExp := flag.String("write-experiments", "", "regenerate the generated tables section of the given markdown file (\"\" = off; CI uses EXPERIMENTS.md)")

@@ -13,9 +13,9 @@ import (
 // acquired from wire.Pool.Get / wire.Pool.GetTrain / wire.NewPooledFrame /
 // Frame.Clone must, on every control-flow path, either be released
 // (Release/Recycle), transferred to another component (passed to any call:
-// Transmit, TransmitTrain, Enqueue, Deliver, ring pushes, ledger drops, …),
-// or escape the function (returned, stored into a field/slice/map/channel,
-// captured by a closure). The analysis is a path-sensitive abstract
+// Transmit, Enqueue, Deliver, ring pushes, ledger drops, …, directly or as
+// its run-of-one view f.Train()), or escape the function (returned, stored
+// into a field/slice/map/channel, captured by a closure). The analysis is a path-sensitive abstract
 // interpretation of each function body; it reports
 //
 //   - leaks: an owned frame still held at a return (the PR 5 silent-leak
@@ -250,6 +250,24 @@ func (it *fnInterp) releaseTarget(call *ast.CallExpr, st *absState) types.Object
 	return nil
 }
 
+// viewTarget returns the tracked frame whose run-of-one view the call
+// takes (f.Train()), or nil. The view is the frame itself, so whatever
+// consumes the view consumes the frame: taking it transfers the lease.
+func (it *fnInterp) viewTarget(call *ast.CallExpr, st *absState) types.Object {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Train" || len(call.Args) != 0 {
+		return nil
+	}
+	fn := calleeFunc(it.info, call)
+	if fn == nil {
+		return nil
+	}
+	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() == nil || !isNamedFrom(sig.Recv().Type(), "wire", "Frame") {
+		return nil
+	}
+	return it.trackedIdent(sel.X, st)
+}
+
 // trackedIdent resolves e to a tracked object in st, or nil.
 func (it *fnInterp) trackedIdent(e ast.Expr, st *absState) types.Object {
 	id, ok := ast.Unparen(e).(*ast.Ident)
@@ -286,6 +304,10 @@ func (it *fnInterp) evalExpr(e ast.Expr, st *absState) {
 			if st.vars[o] != markEscaped {
 				st.vars[o] = markReleased
 			}
+			return
+		}
+		if o := it.viewTarget(x, st); o != nil {
+			st.vars[o] = markEscaped
 			return
 		}
 		// A nested acquisition flows straight into the enclosing expression

@@ -14,7 +14,7 @@ func leakOnErrorPath(p *wire.Pool, l *wire.Link) {
 	if errFail {
 		return // want "pooled f acquired at .* is not released or transferred"
 	}
-	l.Transmit(f)
+	l.Transmit(f.Train())
 }
 
 // releasedOnAllPaths is clean: both paths consume.
@@ -24,7 +24,7 @@ func releasedOnAllPaths(p *wire.Pool, l *wire.Link) {
 		f.Release()
 		return
 	}
-	l.Transmit(f)
+	l.Transmit(f.Train())
 }
 
 // doubleRelease releases twice on the same path.
@@ -46,13 +46,21 @@ func conditionalDouble(p *wire.Pool) {
 // transferSink hands the frame to a sink: ownership moves, no report.
 func transferSink(p *wire.Pool, l *wire.Link) {
 	f := p.Get(128)
-	l.Transmit(f)
+	l.Transmit(f.Train())
 }
 
-// trainTransfer moves a pooled train through TransmitTrain.
+// trainTransfer moves a pooled train through Transmit.
 func trainTransfer(p *wire.Pool, l *wire.Link) {
 	t := p.GetTrain()
-	l.TransmitTrain(t)
+	l.Transmit(t)
+}
+
+// viewTransfer hands the frame's run-of-one view on through a local:
+// the view is the frame, so the frame moves with it.
+func viewTransfer(p *wire.Pool, l *wire.Link) {
+	f := p.Get(64)
+	run := f.Train()
+	l.Transmit(run)
 }
 
 // trainLeak forgets the container on the empty path.
@@ -116,7 +124,7 @@ func overwrittenWhileOwned(p *wire.Pool) {
 func loopReacquire(p *wire.Pool, l *wire.Link) {
 	for i := 0; i < 4; i++ {
 		f := p.Get(64)
-		l.Transmit(f)
+		l.Transmit(f.Train())
 	}
 }
 
@@ -127,7 +135,7 @@ func loopLeak(p *wire.Pool, l *wire.Link) {
 		if errFail {
 			break
 		}
-		l.Transmit(f)
+		l.Transmit(f.Train())
 	}
 } // want "pooled f acquired at .* is not released or transferred"
 
@@ -162,7 +170,7 @@ func switchPaths(p *wire.Pool, l *wire.Link, mode int) {
 	case 0:
 		f.Release()
 	case 1:
-		l.Transmit(f)
+		l.Transmit(f.Train())
 	default:
 		return // want "pooled f acquired at .* is not released or transferred"
 	}

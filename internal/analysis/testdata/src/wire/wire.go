@@ -1,6 +1,6 @@
 // Package wire is a miniature stand-in for osnt/internal/wire: just enough
-// surface (Pool.Get/GetTrain, Frame.Release/Clone, Train.Recycle, transfer
-// sinks) for the framelease corpus. The analyzers match these by package
+// surface (Pool.Get/GetTrain, Frame.Release/Clone/Train, Train.Recycle,
+// transfer sinks) for the framelease corpus. The analyzers match these by package
 // name + type name, exactly as they match the real package.
 package wire
 
@@ -16,6 +16,9 @@ func (f *Frame) Release() {}
 
 // Clone returns an unpooled copy.
 func (f *Frame) Clone() *Frame { return &Frame{Data: append([]byte(nil), f.Data...)} }
+
+// Train returns the frame's run-of-one view.
+func (f *Frame) Train() *Train { return &Train{Frames: []*Frame{f}} }
 
 // CopyFrom overwrites f with src's bytes.
 func (f *Frame) CopyFrom(src *Frame) {}
@@ -44,8 +47,5 @@ func (p *Pool) GetTrain() *Train { return &Train{pool: p} }
 // Link is a transfer sink.
 type Link struct{}
 
-// Transmit takes ownership of f.
-func (l *Link) Transmit(f *Frame) {}
-
-// TransmitTrain takes ownership of t.
-func (l *Link) TransmitTrain(t *Train) {}
+// Transmit takes ownership of the run t.
+func (l *Link) Transmit(t *Train) {}

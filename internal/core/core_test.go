@@ -41,7 +41,7 @@ func demoTopology(e *sim.Engine, swCfg switchsim.Config) (*Device, *switchsim.Sw
 		SrcMAC: macCap, DstMAC: macGen,
 		SrcIP: packet.IP4{10, 0, 0, 2}, DstIP: packet.IP4{10, 0, 0, 1},
 		SrcPort: 1, DstPort: 1, FrameSize: 64,
-	}.Build()))
+	}.Build()).Train())
 	e.Run()
 	return dev, sw
 }

@@ -15,8 +15,9 @@ import (
 	"osnt/internal/wire"
 )
 
-// E18TrainCaps sweeps the generator's frame-train cap. Cap 1 is the
-// per-frame reference path every other cap must reproduce bit-exactly.
+// E18TrainCaps sweeps the generator's frame-train cap. Cap 1 (every run
+// a single frame) is the reference every other cap must reproduce
+// bit-exactly.
 var E18TrainCaps = []int{1, 4, 16, 64}
 
 // E18FrameSizes spans the same 100G extremes as E14: 64 B is the
@@ -43,8 +44,8 @@ func e18DUT() switchsim.Config {
 // train cap. At load 1.0 every frame abuts its predecessor, so the
 // generator emits full trains and every hot-path layer — generator MAC,
 // link, switch lookup and egress, capture steering and ring — handles
-// one event per train instead of one per frame; cap 1 is the unchanged
-// per-frame path.
+// one event per train instead of one per frame; at cap 1 every run is a
+// single frame.
 //
 // The table is the proof obligation, not just the speedup: ev/frame is
 // engine events fired per frame delivered (the cost batching removes),

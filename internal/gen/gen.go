@@ -314,20 +314,20 @@ type Config struct {
 	Pool *wire.Pool
 
 	// MaxTrain caps how many consecutive frames the generator coalesces
-	// into one wire.Train (default/1 = the per-frame path). Frames join a
-	// train only while they abut exactly on the wire — the next departure
-	// instant equals the previous frame's serialization end — so anything
-	// a train carries is bit-for-bit the traffic the per-frame path would
-	// have produced, delivered in a fraction of the engine events.
-	// Coalescing needs a Pool plus a PooledSource and an idle MAC at the
-	// emit instant; otherwise emission falls back per frame.
+	// into one wire.Train (default/1 = every run is a single frame).
+	// Frames join a train only while they abut exactly on the wire — the
+	// next departure instant equals the previous frame's serialization
+	// end — so anything a train carries is bit-for-bit the traffic single
+	// frames would have produced, delivered in a fraction of the engine
+	// events. Coalescing needs a Pool plus a PooledSource and an idle MAC
+	// at the emit instant; otherwise each run is a single frame.
 	MaxTrain int
 	// Until is the emission deadline in virtual time (0 = none): no frame
 	// departs after it, and the generator finishes at the first emission
 	// instant past it. Callers that bound a run with Engine.RunUntil(D) +
 	// Stop must set Until to D when MaxTrain > 1 — train formation looks
 	// ahead of the current instant, and the deadline is what keeps it
-	// from emitting frames the per-frame path would never have reached.
+	// from emitting frames single-frame emission would never have reached.
 	Until sim.Time
 }
 
@@ -393,135 +393,111 @@ func (g *Generator) Stop() {
 	}
 }
 
-// emit pulls one frame from the source and hands it to the MAC, then
-// re-arms itself — the per-packet steady state of the generator.
+// emit pulls the run of frames that departs back to back from the
+// current instant, hands it to the MAC as one wire.Train, and re-arms
+// itself at the next departure — the steady state of the generator. A
+// run is bounded by MaxTrain, the Until deadline, the Count budget and
+// the first non-abutting gap, and coalesces only from a pooled source
+// into an idle MAC (TxIdle); otherwise every run is a single frame. The
+// consumption order of source frames and spacing draws is always frame,
+// then its gap, so a run formed here is bit- and time-identical to what
+// the same frames emitted one by one would have produced; only the
+// event count differs.
 //
 //lint:hotpath
 func (g *Generator) emit() {
 	if !g.running {
 		return
 	}
-	if until := g.cfg.Until; until != 0 && g.port.Card().Engine.Now() > until {
-		g.finish()
-		return
-	}
-	if g.cfg.MaxTrain > 1 && g.pooled != nil && g.port.TxIdle() {
-		g.emitTrain()
-		return
-	}
-	if g.cfg.Count > 0 && g.sent.Packets+g.dropped >= g.cfg.Count {
-		g.finish()
-		return
-	}
-	var f *wire.Frame
-	if g.pooled != nil {
-		f = g.cfg.Pool.Get(0)
-		if !g.pooled.NextInto(f) {
-			f.Release()
-			g.finish()
-			return
-		}
-	} else {
-		f = g.cfg.Source.Next()
-		if f == nil {
-			g.finish()
-			return
-		}
-	}
-	size := f.Size
-	if g.port.Enqueue(f) {
-		g.sent.Add(wire.WireBytes(size))
-	} else {
-		g.dropped++
-		f.Release()
-	}
-	gap := g.cfg.Spacing.Next(g.rand)
-	if gap < 0 {
-		gap = 0
-	}
-	// emit is the callback of g.next itself, which has just fired:
-	// re-arming it reuses the one Event for the generator's lifetime.
-	g.port.Card().Engine.RescheduleAfter(g.next, gap)
-}
-
-// emitTrain coalesces the longest run of frames that depart back to back
-// from the current instant — bounded by MaxTrain, the Until deadline,
-// the Count budget and the first non-abutting gap — and hands it to the
-// MAC as one wire.Train. The consumption order of source frames and
-// spacing draws is exactly the per-frame path's (frame, then its gap),
-// so a run formed here is bit- and time-identical to what N per-frame
-// emissions would have produced; only the event count differs.
-//
-//lint:hotpath
-func (g *Generator) emitTrain() {
 	e := g.port.Card().Engine
 	until := g.cfg.Until
 	if until == 0 {
 		until = sim.Time(math.MaxInt64)
 	}
-	rate := g.port.Link().Rate
-	pool := g.cfg.Pool
-	tr := pool.GetTrain()
-	limit := g.cfg.MaxTrain
-	t := e.Now()    // departure instant of the frame being pulled
-	trainEnd := t   // serialization end of the run so far
-	uniform := true // all frames byte-identical so far
-	for {
-		if g.cfg.Count > 0 && g.sent.Packets+g.dropped+uint64(len(tr.Frames)) >= g.cfg.Count {
-			break
-		}
-		f := pool.Get(0)
-		if !g.pooled.NextInto(f) {
-			f.Release()
-			break
-		}
-		if uniform && len(tr.Frames) > 0 {
-			first := tr.Frames[0]
-			uniform = f.Size == first.Size && bytes.Equal(f.Data, first.Data)
-		}
-		tr.Frames = append(tr.Frames, f)
-		trainEnd = t.Add(wire.SerializationTime(f.Size, rate))
-		gap := g.cfg.Spacing.Next(g.rand)
-		if gap < 0 {
-			gap = 0
-		}
-		t = t.Add(gap)
-		if len(tr.Frames) >= limit || t != trainEnd || t > until {
-			break
-		}
-	}
-	if len(tr.Frames) == 0 {
-		// Count exhausted or source dry before the first frame: the
-		// per-frame path would finish at this instant too.
-		tr.Recycle()
+	if e.Now() > until {
 		g.finish()
 		return
 	}
-	if len(tr.Frames) == 1 {
-		f := tr.Frames[0]
-		tr.Frames[0] = nil
-		tr.Frames = tr.Frames[:0]
-		tr.Recycle()
-		size := f.Size
-		if g.port.Enqueue(f) {
-			g.sent.Add(wire.WireBytes(size))
+	first := g.pull(0)
+	if first == nil {
+		// Count exhausted or source dry.
+		g.finish()
+		return
+	}
+	rate := g.port.Link().Rate
+	n, wb := uint64(1), uint64(wire.WireBytes(first.Size))
+	t, abuts := g.gap(e.Now(), first.Size, rate) // t: next departure
+	run := first.Train()
+	if abuts && t <= until && g.cfg.MaxTrain > 1 && g.pooled != nil && g.port.TxIdle() {
+		tr := g.cfg.Pool.GetTrain()
+		tr.Frames = append(tr.Frames, first)
+		uniform := true // all frames byte-identical so far
+		for abuts && t <= until && len(tr.Frames) < g.cfg.MaxTrain {
+			f := g.pull(n)
+			if f == nil {
+				break
+			}
+			uniform = uniform && f.Size == first.Size && bytes.Equal(f.Data, first.Data)
+			tr.Frames = append(tr.Frames, f)
+			n++
+			wb += uint64(wire.WireBytes(f.Size))
+			t, abuts = g.gap(t, f.Size, rate)
+		}
+		if n > 1 {
+			// Timestamp embedding mutates each frame at MAC latch time,
+			// so an OnTransmit hook voids byte-uniformity even for a
+			// one-flow run.
+			tr.Uniform = uniform && g.port.OnTransmit == nil
+			run = tr
 		} else {
-			g.dropped++
-			f.Release()
+			tr.Frames[0] = nil
+			tr.Frames = tr.Frames[:0]
+			tr.Recycle()
 		}
+	}
+	if g.port.Enqueue(run) {
+		g.sent.Packets += n
+		g.sent.Bytes += wb
 	} else {
-		// Timestamp embedding mutates each frame at MAC latch time, so an
-		// OnTransmit hook voids byte-uniformity even for a one-flow run.
-		tr.Uniform = uniform && g.port.OnTransmit == nil
-		for _, f := range tr.Frames {
-			g.sent.Add(wire.WireBytes(f.Size))
-		}
-		g.port.EnqueueTrain(tr)
+		g.dropped += n
+		run.Release()
 	}
 	// t is the departure instant of the first frame NOT in this run: the
-	// next emission event, which finishes the generator if it lies past
-	// the Until deadline.
+	// next emission, which finishes the generator if it lies past the
+	// Until deadline. emit is the callback of g.next itself, which has
+	// just fired: re-arming it reuses the one Event for the generator's
+	// lifetime.
 	e.Reschedule(g.next, t)
+}
+
+// pull draws the next frame from the source, or nil when the source is
+// dry or the Count budget is spent (pending frames already drawn for the
+// current run count against it).
+func (g *Generator) pull(pending uint64) *wire.Frame {
+	if g.cfg.Count > 0 && g.sent.Packets+g.dropped+pending >= g.cfg.Count {
+		return nil
+	}
+	if g.pooled == nil {
+		return g.cfg.Source.Next()
+	}
+	f := g.cfg.Pool.Get(0)
+	if !g.pooled.NextInto(f) {
+		f.Release()
+		return nil
+	}
+	return f
+}
+
+// gap draws the spacing after a frame of the given size departing at t
+// and returns the next departure instant, and whether it abuts the
+// frame's last bit (the condition for the two to share a train).
+func (g *Generator) gap(t sim.Time, size int, rate wire.Rate) (sim.Time, bool) {
+	gap := g.cfg.Spacing.Next(g.rand)
+	if gap < 0 {
+		gap = 0
+	}
+	next := t.Add(gap)
+	return next, next == t.Add(wire.SerializationTime(size, rate))
 }
 
 func (g *Generator) finish() {

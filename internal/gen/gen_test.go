@@ -25,7 +25,7 @@ type rxCollector struct {
 	times  []sim.Time
 }
 
-func (r *rxCollector) Receive(f *wire.Frame, _, at sim.Time) {
+func (r *rxCollector) receive(f *wire.Frame, _, at sim.Time) {
 	r.frames = append(r.frames, f)
 	r.times = append(r.times, at)
 }
@@ -35,7 +35,7 @@ func testRig(t *testing.T) (*sim.Engine, *netfpga.Card, *rxCollector) {
 	e := sim.NewEngine()
 	card := netfpga.New(e, netfpga.Config{})
 	rx := &rxCollector{}
-	card.Port(0).SetLink(wire.NewLink(e, wire.Rate10G, 0, rx))
+	card.Port(0).SetLink(wire.NewLink(e, wire.Rate10G, 0, wire.EndpointFunc(rx.receive)))
 	return e, card, rx
 }
 

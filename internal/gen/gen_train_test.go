@@ -8,8 +8,8 @@ import (
 	"osnt/internal/wire"
 )
 
-// trainCollector observes the wire as a batch-aware endpoint: whole
-// trains arrive via ReceiveTrain, everything else per frame.
+// trainCollector observes the wire: whole trains arrive as one run,
+// single frames as runs of one.
 type trainCollector struct {
 	trainLens []int
 	uniforms  []bool
@@ -17,20 +17,18 @@ type trainCollector struct {
 	frames    uint64
 }
 
-func (c *trainCollector) Receive(f *wire.Frame, _, _ sim.Time) {
-	c.singles++
-	c.frames++
-	f.Release()
-}
-
-func (c *trainCollector) ReceiveTrain(t *wire.Train, _, _ sim.Time) {
-	c.trainLens = append(c.trainLens, t.Len())
-	c.uniforms = append(c.uniforms, t.Uniform)
+func (c *trainCollector) Receive(t *wire.Train, _, _ sim.Time) {
+	if t.Len() == 1 {
+		c.singles++
+	} else {
+		c.trainLens = append(c.trainLens, t.Len())
+		c.uniforms = append(c.uniforms, t.Uniform)
+	}
 	c.frames += uint64(t.Len())
 	t.Release()
 }
 
-// trainRig builds a one-port card wired into a batch-aware collector.
+// trainRig builds a one-port card wired into a train collector.
 func trainRig() (*sim.Engine, *netfpga.Card, *trainCollector) {
 	e := sim.NewEngine()
 	card := netfpga.New(e, netfpga.Config{})
@@ -202,7 +200,7 @@ func TestTrainTimingMatchesPerFrame(t *testing.T) {
 		e := sim.NewEngine()
 		card := netfpga.New(e, netfpga.Config{})
 		rx := &rxCollector{}
-		card.Port(0).SetLink(wire.NewLink(e, wire.Rate10G, 0, rx))
+		card.Port(0).SetLink(wire.NewLink(e, wire.Rate10G, 0, wire.EndpointFunc(rx.receive)))
 		g, err := New(card.Port(0), Config{
 			Source:   &UDPFlowSource{Spec: spec, NumFlows: 3, FrameSize: 128},
 			Spacing:  CBRForLoad(128, wire.Rate10G, 1.0),

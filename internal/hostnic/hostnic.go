@@ -78,20 +78,26 @@ func (n *NIC) Interrupts() uint64 { return n.interrupts }
 // Captured returns counters over delivered packets.
 func (n *NIC) Captured() stats.Counter { return n.captured }
 
-// Receive implements wire.Endpoint.
-func (n *NIC) Receive(f *wire.Frame, _ sim.Time, at sim.Time) {
-	data := make([]byte, len(f.Data))
-	copy(data, f.Data)
-	n.batch = append(n.batch, pending{data: data, arrival: at})
-	if len(n.batch) == 1 {
-		n.timeoutEv = n.engine.ScheduleAfter(n.cfg.CoalesceTimeout, n.fire)
-	}
-	if len(n.batch) >= n.cfg.CoalesceCount {
-		if n.timeoutEv != nil {
-			n.timeoutEv.Cancel()
-			n.timeoutEv = nil
+// Receive implements wire.Endpoint: each frame of the run is copied
+// into the interrupt batch at its own last-bit arrival instant.
+func (n *NIC) Receive(t *wire.Train, _ sim.Time, at sim.Time) {
+	for i, f := range t.Frames {
+		if i > 0 {
+			at = at.Add(wire.SerializationTime(f.Size, t.Rate))
 		}
-		n.fire()
+		data := make([]byte, len(f.Data))
+		copy(data, f.Data)
+		n.batch = append(n.batch, pending{data: data, arrival: at})
+		if len(n.batch) == 1 {
+			n.timeoutEv = n.engine.ScheduleAfter(n.cfg.CoalesceTimeout, n.fire)
+		}
+		if len(n.batch) >= n.cfg.CoalesceCount {
+			if n.timeoutEv != nil {
+				n.timeoutEv.Cancel()
+				n.timeoutEv = nil
+			}
+			n.fire()
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"osnt/internal/mon"
 	"osnt/internal/netfpga"
 	"osnt/internal/packet"
+	"osnt/internal/shard"
 	"osnt/internal/sim"
 	"osnt/internal/stats"
 	"osnt/internal/switchsim"
@@ -19,11 +20,12 @@ import (
 
 // Frame-train coalescing must be pure bookkeeping: a scenario run with
 // any train cap has to produce bit-for-bit the same observable state as
-// the per-frame (cap 1) reference — every record's timestamp, digest
-// and bytes, every counter, every drop attribution. These tests run
-// randomized single-source scenarios across the three hot spots the
-// batching fast paths split at (rate conversion, ECMP spray, capture
-// filters) and compare complete run summaries across caps 1/4/64.
+// the single-frame (cap 1) reference — every record's timestamp, digest,
+// bytes and hop trace, every counter, every drop attribution. These
+// tests run randomized single-source scenarios across the hot spots
+// where runs split or cross (rate conversion, ECMP spray, capture
+// filters, shard cuts) and compare complete run summaries across caps
+// 1/4/64 and, where the scenario is partitioned, across shard counts.
 
 const equivDur = 300 * sim.Microsecond
 
@@ -37,15 +39,20 @@ func equivFold(h, v uint64) uint64 {
 }
 
 // equivSink returns a per-queue record sink folding every delivered
-// record — timestamp, hardware digest, wire size and the full (possibly
-// thinned) bytes — into *h. Any retimed, reordered, re-thinned or
-// corrupted record changes the digest.
+// record — timestamp, hardware digest, wire size, per-hop egress stamps
+// and the full (possibly thinned) bytes — into *h. Any retimed,
+// reordered, re-thinned, mis-stamped or corrupted record changes the
+// digest.
 func equivSink(h *uint64) func(mon.Record) {
 	const prime = 1099511628211
 	return func(rec mon.Record) {
 		d := equivFold(*h, uint64(rec.TS))
 		d = equivFold(d, rec.Hash)
 		d = equivFold(d, uint64(rec.WireSize))
+		for i := 0; i < rec.Trace.Len(); i++ {
+			hop := rec.Trace.At(i)
+			d = equivFold(equivFold(d, uint64(hop.Node)), uint64(hop.At))
+		}
 		for _, b := range rec.Data {
 			d = (d ^ uint64(b)) * prime
 		}
@@ -91,20 +98,22 @@ func equivSummary(g *gen.Generator, ms []*mon.Monitor, digests [][]uint64, top *
 
 // equivScenario is one randomized rig: mk draws its parameters from rng
 // once, then the returned run function replays the identical scenario at
-// a given train cap.
+// a given train cap and shard count. shards lists the shard counts the
+// scenario runs at (nil: a single engine only).
 type equivScenario struct {
-	name string
-	mk   func(rng *rand.Rand) func(cap int) string
+	name   string
+	mk     func(rng *rand.Rand) func(cap, shards int) string
+	shards []int
 }
 
 // mixedRateScenario saturates a 40G→10G down-converting DUT whose
 // shallow egress FIFO overflows continuously: trains must split at the
 // rate-conversion boundary and attribute exactly the same drops.
-func mixedRateScenario(rng *rand.Rand) func(cap int) string {
+func mixedRateScenario(rng *rand.Rand) func(cap, _ int) string {
 	fs := []int{64, 128, 512, 1518}[rng.Intn(4)]
 	nflows := []int{1, 4, 64}[rng.Intn(3)]
 	qcap := []int{16, 64}[rng.Intn(2)]
-	return func(cap int) string {
+	return func(cap, _ int) string {
 		e := sim.NewEngine()
 		top := topo.New().
 			Tester("tx", netfpga.Config{Ports: 1, Rate: wire.Rate40G}).
@@ -139,10 +148,10 @@ func mixedRateScenario(rng *rand.Rand) func(cap int) string {
 // its own capture: spray decisions must land every frame on the same
 // member with and without trains (uniform trains spray whole, mixed
 // flows fall back per frame).
-func sprayScenario(rng *rand.Rand) func(cap int) string {
+func sprayScenario(rng *rand.Rand) func(cap, _ int) string {
 	fs := []int{64, 256, 1518}[rng.Intn(3)]
 	nflows := []int{1, 8, 64}[rng.Intn(3)]
-	return func(cap int) string {
+	return func(cap, _ int) string {
 		e := sim.NewEngine()
 		top := topo.New().
 			Tester("tx", netfpga.Config{Ports: 1, Rate: wire.Rate40G}).
@@ -185,11 +194,11 @@ func sprayScenario(rng *rand.Rand) func(cap int) string {
 // with its own snap length, and hash-steers the rest across four rings —
 // train admission must classify every frame exactly as the per-frame
 // path does, thinning included.
-func filterScenario(rng *rand.Rand) func(cap int) string {
+func filterScenario(rng *rand.Rand) func(cap, _ int) string {
 	fs := []int{64, 128, 512}[rng.Intn(3)]
 	nflows := []int{8, 64}[rng.Intn(2)]
 	thinFirst := rng.Intn(2) == 1
-	return func(cap int) string {
+	return func(cap, _ int) string {
 		e := sim.NewEngine()
 		top := topo.New().
 			Tester("osnt", netfpga.Config{Ports: 2}).
@@ -229,6 +238,60 @@ func filterScenario(rng *rand.Rand) func(cap int) string {
 	}
 }
 
+// shardCutScenario saturates a uniform source across positive-delay
+// shard cuts: the tester pair sits on shard 0 and the DUT between them on
+// shard 1, so at 2 shards every train crosses the boundary twice as one
+// export record (generator → DUT and DUT → capture) and is replayed at
+// the barrier. The DUT's egress FIFO is shallow enough to overflow when
+// the capture side is slower, so the coalesced egress path, its drop
+// accounting and its hop stamps are all compared across caps and shard
+// counts.
+func shardCutScenario(rng *rand.Rand) func(cap, shards int) string {
+	fs := []int{64, 256, 1518}[rng.Intn(3)]
+	qcap := []int{16, 512}[rng.Intn(2)]
+	outRate := []wire.Rate{wire.Rate40G, wire.Rate10G}[rng.Intn(2)]
+	inDelay := sim.Duration(100+rng.Intn(900)) * sim.Nanosecond
+	outDelay := sim.Duration(100+rng.Intn(900)) * sim.Nanosecond
+	return func(cap, shards int) string {
+		cl := shard.NewCluster(shards)
+		defer cl.Close()
+		top, err := topo.New().
+			Tester("tx", netfpga.Config{Ports: 1, Rate: wire.Rate40G}).
+			Tester("rx", netfpga.Config{Ports: 1, Rate: outRate}).
+			DUT("sw", switchsim.Config{
+				Ports:           2,
+				PortRates:       []wire.Rate{wire.Rate40G, outRate},
+				EgressQueueCap:  qcap,
+				LookupPerPacket: sim.Nanosecond,
+				LookupPerByte:   sim.Picoseconds(10),
+			}).
+			LinkAt("tx:0", "sw:0", 0, inDelay).
+			ConvertAt("sw:1", "rx:0", outDelay).
+			BuildPartitioned(cl.Partition(func(name string) int {
+				if name == "sw" {
+					return shards - 1
+				}
+				return 0
+			}))
+		if err != nil {
+			panic(err)
+		}
+		top.DUT("sw").Learn(spec.DstMAC, 1)
+		queues, digests := equivQueues(1)
+		m := top.AttachMonitor("rx:0", mon.Config{
+			SnapLen:   64,
+			HashBytes: packet.HeaderDigestBytes,
+			Queues:    queues,
+		})
+		g := equivGen(top, "tx:0", fs, 1, wire.Rate40G, cap)
+		g.Start(0)
+		cl.RunUntil(sim.Time(equivDur))
+		g.Stop()
+		cl.Run()
+		return equivSummary(g, []*mon.Monitor{m}, [][]uint64{digests}, top)
+	}
+}
+
 // equivGen builds the scenario's single saturating source: load 1.0 so
 // consecutive frames abut and trains actually form at every cap > 1.
 func equivGen(top *topo.Topology, port string, fs, nflows int, rate wire.Rate, cap int) *gen.Generator {
@@ -246,23 +309,34 @@ func equivGen(top *topo.Topology, port string, fs, nflows int, rate wire.Rate, c
 }
 
 // TestTrainEquivalence is the batching correctness property test: for
-// every randomized scenario, runs with train caps 4 and 64 must produce
-// summaries identical to the per-frame cap-1 reference.
+// every randomized scenario, runs with train caps 1, 4 and 64 at every
+// shard count the scenario lists must produce summaries identical to the
+// single-frame, single-engine reference (cap 1, one shard).
 func TestTrainEquivalence(t *testing.T) {
 	scenarios := []equivScenario{
-		{"mixed-rate", mixedRateScenario},
-		{"ecmp-spray", sprayScenario},
-		{"filters", filterScenario},
+		{"mixed-rate", mixedRateScenario, nil},
+		{"ecmp-spray", sprayScenario, nil},
+		{"filters", filterScenario, nil},
+		{"shard-cut", shardCutScenario, []int{1, 2}},
 	}
 	for _, sc := range scenarios {
+		shardCounts := sc.shards
+		if shardCounts == nil {
+			shardCounts = []int{1}
+		}
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", sc.name, seed), func(t *testing.T) {
 				run := sc.mk(rand.New(rand.NewSource(seed)))
-				ref := run(1)
-				for _, cap := range []int{4, 64} {
-					if got := run(cap); got != ref {
-						t.Errorf("cap %d diverges from per-frame reference:\n--- cap 1 ---\n%s\n--- cap %d ---\n%s",
-							cap, ref, cap, got)
+				ref := run(1, 1)
+				for _, shards := range shardCounts {
+					for _, cap := range []int{1, 4, 64} {
+						if cap == 1 && shards == 1 {
+							continue
+						}
+						if got := run(cap, shards); got != ref {
+							t.Errorf("cap %d at %d shards diverges from the cap-1 single-engine reference:\n--- reference ---\n%s\n--- cap %d, %d shards ---\n%s",
+								cap, shards, ref, cap, shards, got)
+						}
 					}
 				}
 			})

@@ -123,7 +123,8 @@ func TestMergeRoundRobinRestoresOrder(t *testing.T) {
 // satellite: equal hardware timestamps across queues must emerge in
 // (queue index, per-queue sequence) order. Real MACs cannot latch two
 // arrivals into one 6.25 ns quantum on a single port, so the collision
-// is injected directly through the port's receive hook.
+// is injected directly through the port's receive hook, from an event at
+// the arrival instant.
 func TestMergeEqualTimestampTieBreak(t *testing.T) {
 	e := sim.NewEngine()
 	card := netfpga.New(e, netfpga.Config{Ports: 1})
@@ -137,12 +138,15 @@ func TestMergeEqualTimestampTieBreak(t *testing.T) {
 
 	data := spec.Build()
 	frame := wire.NewFrame(data)
-	ts1 := timing.FromSim(sim.Time(10 * sim.Microsecond))
+	at1 := sim.Time(10 * sim.Microsecond)
+	ts1 := timing.FromSim(at1)
 	// Eight same-timestamp arrivals deal round-robin onto queues
 	// 0,1,2,3,0,1,2,3 — two per queue, all carrying ts1.
-	for i := 0; i < 8; i++ {
-		card.Port(0).OnReceive(frame, ts1.Sim(), ts1)
-	}
+	e.Schedule(at1, func() {
+		for i := 0; i < 8; i++ {
+			card.Port(0).OnReceiveTrain(frame.Train(), at1)
+		}
+	})
 	e.Run() // drain every queue
 	g.Flush()
 
@@ -168,10 +172,12 @@ func TestMergeEqualTimestampTieBreak(t *testing.T) {
 
 	// A later timestamp releases the tied batch even mid-run: emit four
 	// more at ts2 and confirm nothing reordered across the boundary.
-	ts2 := ts1.Add(100 * sim.Nanosecond)
-	for i := 0; i < 4; i++ {
-		card.Port(0).OnReceive(frame, ts2.Sim(), ts2)
-	}
+	at2 := e.Now().Add(100 * sim.Nanosecond)
+	e.Schedule(at2, func() {
+		for i := 0; i < 4; i++ {
+			card.Port(0).OnReceiveTrain(frame.Train(), at2)
+		}
+	})
 	e.Run()
 	g.Flush()
 	if len(out) != 12 {

@@ -216,12 +216,12 @@ type queue struct {
 	draining bool
 	drainEv  *sim.Event // reusable: at most one DMA completion in flight
 	// nextFinish is the instant the in-flight DMA completes (valid while
-	// draining). The train admission path runs ahead of the engine clock
-	// and uses it to apply completions virtually, between two frame
-	// arrivals, without firing the event.
+	// draining). Admitting a run runs ahead of the engine clock and uses
+	// it to apply completions virtually, between two frame arrivals,
+	// without firing the event.
 	nextFinish sim.Time
-	// touched marks the queue as dirty inside one train admission, so the
-	// fixup pass re-arms each queue's real drain event exactly once.
+	// touched marks the queue as dirty inside one admission, so the
+	// fixup pass re-arms each queue's real drain event at most once.
 	touched bool
 
 	// bufFree recycles record buffers when the queue's recycle flag
@@ -261,8 +261,8 @@ type Monitor struct {
 
 	queues []queue
 	rr     int // round-robin cursor
-	// scratch collects the queues one train touched (reused across
-	// trains, so the batched path allocates nothing).
+	// scratch collects the queues one admission touched (reused across
+	// admissions, so the path allocates nothing).
 	scratch []*queue
 
 	seen     stats.Counter // all frames presented to the pipeline
@@ -291,8 +291,8 @@ func (m *Monitor) SetDropSite(ledger *wire.DropLedger, hop int) {
 	m.ledger, m.hop = ledger, hop
 }
 
-// New builds a capture engine on the port, taking over its OnReceive
-// hook. It rejects invalid configurations: Validate errors, more queues
+// New builds a capture engine on the port, taking over its
+// OnReceiveTrain hook. It rejects invalid configurations: Validate errors, more queues
 // than the card's per-port DMA budget (netfpga.Config.CaptureQueues),
 // and filter rules pinning a queue the monitor does not have.
 func New(port *netfpga.Port, cfg Config) (*Monitor, error) {
@@ -361,8 +361,7 @@ func New(port *netfpga.Port, cfg Config) (*Monitor, error) {
 		q.recycle = cfg.RecycleRecords || q.sink == nil
 	}
 
-	port.OnReceive = m.onReceive
-	port.OnReceiveTrain = m.onReceiveTrain
+	port.OnReceiveTrain = m.admit
 	return m, nil
 }
 
@@ -378,84 +377,25 @@ func Attach(port *netfpga.Port, cfg Config) *Monitor {
 	return m
 }
 
-func (m *Monitor) onReceive(f *wire.Frame, at sim.Time, ts timing.Timestamp) {
-	m.seen.Add(wire.WireBytes(f.Size))
-	if ts > m.maxTS {
-		m.maxTS = ts
-	}
-
-	data := f.Data
-	snap := m.cfg.SnapLen
-
-	if m.cfg.ThinBeforeFilter && snap > 0 && len(data) > snap {
-		data = data[:snap]
-	}
-
-	ruleIdx := -1
-	if m.cfg.Filters != nil {
-		act, idx, ruleSnap := m.cfg.Filters.Match(data)
-		ruleIdx = idx
-		if act == filter.Drop {
-			m.filtered++
-			m.ledger.Report(m.hop, wire.DropFilterReject, 1)
-			return
-		}
-		if ruleSnap > 0 {
-			snap = ruleSnap
-		}
-	}
-	if !m.cfg.ThinBeforeFilter && snap > 0 && len(data) > snap {
-		data = data[:snap]
-	}
-
-	var hash uint64
-	if m.cfg.HashBytes > 0 {
-		hash = packet.PacketDigest(data, m.cfg.HashBytes)
-	}
-
-	wb := wire.WireBytes(f.Size)
-	m.accepted.Add(wb)
-
-	q := m.steer(data, ruleIdx, hash)
-	q.seen.Add(wb)
-
-	if len(q.ring)-q.head >= q.ringSize {
-		q.ringDrops++
-		m.ledger.Report(m.hop, wire.DropRingFull, 1)
-		return
-	}
-	q.accepted.Add(wb)
-	// The descriptor ring owns a copy: the frame buffer belongs to the
-	// datapath and may be reused.
-	cp := q.getBuf(len(data))
-	copy(cp, data)
-	q.ring = append(q.ring, Record{
-		Data: cp, WireSize: f.Size, TS: ts, Arrival: at,
-		Port: m.port.Index(), Queue: q.idx, Rule: ruleIdx, Hash: hash,
-		Seq: q.seq, Trace: f.Trace,
-	})
-	q.seq++
-	q.drain()
-}
-
-// onReceiveTrain is the batched admission path: the port hands a whole
-// back-to-back run to the monitor in one delivery event. The engine
-// clock sits at the first frame's last-bit arrival; every later frame's
-// arrival instant is recovered arithmetically at the train's wire rate,
-// its MAC timestamp is latched at that instant (in arrival order, so
-// stateful clocks step exactly as under per-frame delivery), and any DMA
-// completions that would have fired between two arrivals are applied
-// virtually with their exact completion instants. Counters, drop
-// decisions and record contents are bitwise identical to N per-frame
-// events; only the event count changes.
+// admit is the capture pipeline's admission: the port hands it each
+// delivered run of back-to-back frames (a single frame is a run of one)
+// in one delivery event. The engine clock sits at the first frame's
+// last-bit arrival; every later frame's arrival instant is recovered
+// arithmetically at the run's wire rate, its MAC timestamp is latched at
+// that instant (in arrival order, so stateful clocks step exactly once
+// per frame), and any DMA completions that would have fired between two
+// arrivals are applied virtually with their exact completion instants.
+// Counters, drop decisions and record contents are bitwise identical to
+// one delivery event per frame; only the event count changes.
 //
-// Uniform trains (byte-identical frames) additionally hoist the per-flow
+// Uniform runs (byte-identical frames) additionally hoist the per-flow
 // work — filter verdict, effective snap length, digest, and (for
 // non-round-robin policies) the steering decision — out of the per-frame
 // loop: one classification covers the run.
-func (m *Monitor) onReceiveTrain(t *wire.Train, at sim.Time) {
+//
+//lint:hotpath
+func (m *Monitor) admit(t *wire.Train, at sim.Time) {
 	clock := m.port.Card().Clock
-	touched := m.scratch[:0]
 
 	hoist := t.Uniform
 	hoisted := false
@@ -492,7 +432,6 @@ func (m *Monitor) onReceiveTrain(t *wire.Train, at sim.Time) {
 			}
 			data, ruleIdx, hash = f.Data[:hLen], hRule, hHash
 		} else {
-			// Full classification, mirroring onReceive stage for stage.
 			data = f.Data
 			snap := m.cfg.SnapLen
 			ruleIdx = -1
@@ -542,8 +481,15 @@ func (m *Monitor) onReceiveTrain(t *wire.Train, at sim.Time) {
 			}
 		}
 		q.seen.Add(wb)
-
-		q.advanceTo(lb)
+		if !q.touched {
+			q.touched = true
+			m.scratch = append(m.scratch, q)
+		}
+		if i > 0 {
+			// The first frame arrives at the engine clock, where the real
+			// drain event still governs; later ones run ahead of it.
+			q.advanceTo(lb)
+		}
 
 		if len(q.ring)-q.head >= q.ringSize {
 			q.ringDrops++
@@ -551,6 +497,8 @@ func (m *Monitor) onReceiveTrain(t *wire.Train, at sim.Time) {
 			continue
 		}
 		q.accepted.Add(wb)
+		// The descriptor ring owns a copy: the frame buffer belongs to the
+		// datapath and may be reused.
 		cp := q.getBuf(len(data))
 		copy(cp, data)
 		q.ring = append(q.ring, Record{
@@ -561,38 +509,38 @@ func (m *Monitor) onReceiveTrain(t *wire.Train, at sim.Time) {
 		q.seq++
 		if !q.draining {
 			// The host core was idle when this record landed: the DMA
-			// starts at the (virtual) arrival instant, exactly as drain()
-			// would have at a real per-frame event.
+			// starts at the (possibly virtual) arrival instant.
 			q.draining = true
 			q.nextFinish = lb.Add(q.perPacket + sim.Duration(len(cp))*q.perByte)
 		}
-		if !q.touched {
-			q.touched = true
-			touched = append(touched, q)
-		}
 	}
 
-	// Fix up the real DMA completion event for every queue the train
-	// touched: still draining → one event at the virtual horizon; gone
-	// idle → any pending event is stale and cancels.
-	for _, q := range touched {
+	// Fix up the real DMA completion event for every queue the run
+	// touched: still draining → one event at the virtual horizon (left
+	// alone when already armed there, keeping its place among
+	// same-instant events); gone idle → any pending event is stale and
+	// cancels.
+	for _, q := range m.scratch {
 		q.touched = false
-		if q.draining {
-			if q.drainEv == nil {
-				q.drainEv = m.eng.Schedule(q.nextFinish, q.drainDone)
-			} else {
-				m.eng.Reprogram(q.drainEv, q.nextFinish)
+		ev := q.drainEv
+		switch {
+		case !q.draining:
+			if ev != nil && ev.Pending() {
+				ev.Cancel()
 			}
-		} else if q.drainEv != nil && q.drainEv.Pending() {
-			q.drainEv.Cancel()
+		case ev == nil:
+			//lint:ignore hotpathalloc one-time event creation per queue; steady state reprograms
+			q.drainEv = m.eng.Schedule(q.nextFinish, q.drainDone)
+		case !ev.Pending() || ev.Cancelled() || ev.At() != q.nextFinish:
+			m.eng.Reprogram(ev, q.nextFinish)
 		}
 	}
-	m.scratch = touched[:0]
+	m.scratch = m.scratch[:0]
 }
 
 // advanceTo applies, virtually, every DMA completion that would have
-// fired up to instant t. The train admission loop runs ahead of the
-// engine clock, so completions falling between two frame arrivals are
+// fired up to instant t. Admitting a run runs ahead of the engine
+// clock, so completions falling between two frame arrivals are
 // delivered here carrying their exact completion instants. A completion
 // landing exactly on an arrival delivers first, matching the per-frame
 // event order (the completion event was scheduled earlier, so it holds
@@ -653,34 +601,13 @@ func (q *queue) getBuf(n int) []byte {
 			return b[:n]
 		}
 	}
+	//lint:ignore hotpathalloc the ring's buffer supply grows until delivered records recycle theirs; a retaining sink owns each copy
 	return make([]byte, n)
-}
-
-// drain models this queue's host core consuming the ring one record at
-// a time.
-//
-//lint:hotpath
-func (q *queue) drain() {
-	if q.draining || len(q.ring) == q.head {
-		return
-	}
-	q.draining = true
-	cost := q.perPacket + sim.Duration(len(q.ring[q.head].Data))*q.perByte
-	q.nextFinish = q.m.eng.Now().Add(cost)
-	if q.drainEv == nil {
-		//lint:ignore hotpathalloc one-time event creation per queue; steady state reprograms
-		q.drainEv = q.m.eng.Schedule(q.nextFinish, q.drainDone)
-	} else {
-		// Reprogram rather than Reschedule: a train admission may have
-		// left the event cancelled-but-queued, and Reprogram re-keys that
-		// in place.
-		q.m.eng.Reprogram(q.drainEv, q.nextFinish)
-	}
 }
 
 // deliverHead completes the in-flight DMA for the record at the ring
 // head, stamping the given completion instant. Shared by the real
-// completion event and the train path's virtual advance.
+// completion event and admission's virtual advance.
 func (q *queue) deliverHead(doneAt sim.Time) {
 	rec := q.ring[q.head]
 	q.ring[q.head] = Record{}
@@ -706,13 +633,19 @@ func (q *queue) deliverHead(doneAt sim.Time) {
 }
 
 // drainDone is the DMA-completion handler for the record at the ring
-// head.
+// head: it delivers the record and starts the DMA for the next one, if
+// any — the queue's host core consuming the ring one record at a time.
 //
 //lint:hotpath
 func (q *queue) drainDone() {
-	q.deliverHead(q.m.eng.Now())
-	q.draining = false
-	q.drain()
+	now := q.m.eng.Now()
+	q.deliverHead(now)
+	if len(q.ring) == q.head {
+		q.draining = false
+		return
+	}
+	q.nextFinish = now.Add(q.perPacket + sim.Duration(len(q.ring[q.head].Data))*q.perByte)
+	q.m.eng.Reprogram(q.drainEv, q.nextFinish)
 }
 
 // Seen returns counters over every frame presented to the pipeline.

@@ -113,10 +113,12 @@ type Port struct {
 	card  *Card
 	index int
 
-	// TX side.
-	txLink *wire.Link
-	txq    ring.FIFO[*wire.Frame]
-	txBusy bool
+	// TX side: the queue holds runs of back-to-back frames (a single
+	// frame is a run of one); txqFrames counts the frames in it.
+	txLink    *wire.Link
+	txq       ring.FIFO[*wire.Train]
+	txqFrames int
+	txBusy    bool
 	// OnTransmit fires when a frame is latched into the MAC, just before
 	// serialisation begins — the point where OSNT's generator embeds the
 	// departure timestamp. The callback may modify the frame bytes.
@@ -126,12 +128,12 @@ type Port struct {
 	// OnReceive fires for every frame whose last bit has arrived, with
 	// the MAC-latched receive timestamp.
 	OnReceive func(f *wire.Frame, at sim.Time, ts timing.Timestamp)
-	// OnReceiveTrain, when set, takes whole frame trains in one callback
-	// (at is the first frame's last-bit arrival; later boundaries follow
-	// arithmetically at t.Rate). The consumer latches per-frame
-	// timestamps itself via Card().Clock, in arrival order — the port
-	// does not pre-latch, so stateful clocks still step exactly once per
-	// frame. When nil, trains unbundle into per-frame OnReceive calls.
+	// OnReceiveTrain, when set, takes each delivered run in one callback
+	// instead (at is the first frame's last-bit arrival; later
+	// boundaries follow arithmetically at t.Rate) and wins over
+	// OnReceive. The consumer latches per-frame timestamps itself via
+	// Card().Clock, in arrival order — the port does not pre-latch, so
+	// stateful clocks still step exactly once per frame.
 	OnReceiveTrain func(t *wire.Train, at sim.Time)
 
 	txStats stats.Counter
@@ -160,67 +162,69 @@ func (p *Port) SetLink(l *wire.Link) { p.txLink = l }
 // Link returns the attached egress link.
 func (p *Port) Link() *wire.Link { return p.txLink }
 
-// Enqueue places a frame on the TX queue. It reports false (and counts a
-// drop) when the queue is full — software offered more than line rate for
-// longer than the queue can absorb.
+// Enqueue places a run of frames (a single frame is a run of one, see
+// wire.Frame.Train) on the TX queue; the MAC later serialises it back to
+// back in one pass. It reports false (and counts a drop per frame) when
+// the queue is full — software offered more than line rate for longer
+// than the queue can absorb; the caller keeps ownership of a refused
+// run.
 //
 //lint:hotpath
-func (p *Port) Enqueue(f *wire.Frame) bool {
+func (p *Port) Enqueue(t *wire.Train) bool {
 	if p.txLink == nil {
 		panic(fmt.Sprintf("netfpga: port %d transmit with no link attached", p.index))
 	}
-	if p.txq.Len() >= p.card.cfg.TxQueueCap {
-		p.txDrops++
-		p.card.Regs.AddAt(p.regTxDrops, 1)
-		p.card.ledger.Report(p.card.dropHop, wire.DropTxOverflow, 1)
+	if p.txqFrames >= p.card.cfg.TxQueueCap {
+		n := uint64(t.Len())
+		p.txDrops += n
+		p.card.Regs.AddAt(p.regTxDrops, n)
+		p.card.ledger.Report(p.card.dropHop, wire.DropTxOverflow, n)
 		return false
 	}
-	p.txq.Push(f)
+	p.txq.Push(t)
+	p.txqFrames += t.Len()
 	p.trySend()
 	return true
 }
 
 // TxIdle reports whether the MAC is between transmissions with an empty
-// TX queue — the precondition for handing it a coalesced frame train.
-// It holds at every emission instant as long as offered load stays at or
-// below line rate.
+// TX queue — the precondition for coalescing a frame train: a run handed
+// to an idle MAC departs at once, so its frames abut from the current
+// instant. It holds at every emission instant as long as offered load
+// stays at or below line rate.
 func (p *Port) TxIdle() bool { return !p.txBusy && p.txq.Len() == 0 }
 
-// EnqueueTrain transmits a whole back-to-back run in one MAC pass: one
-// transmit event, one register/stat update batch, per-frame OnTransmit
-// hooks at each frame's exact latch instant. The caller must have
-// checked TxIdle — coalescing a run through a busy MAC would reorder it
-// against queued frames, so that is a contract violation, not a
-// recoverable condition.
+// trySend latches and serialises the head run of the TX queue when the
+// MAC is free: one transmit event and one register update batch per run,
+// with per-frame OnTransmit hooks at each frame's exact latch instant —
+// frame k is latched the moment frame k-1's last bit leaves.
 //
 //lint:hotpath
-func (p *Port) EnqueueTrain(t *wire.Train) {
-	if p.txLink == nil {
-		panic(fmt.Sprintf("netfpga: port %d transmit with no link attached", p.index))
+func (p *Port) trySend() {
+	if p.txBusy || p.txq.Len() == 0 {
+		return
 	}
-	if !p.TxIdle() {
-		panic(fmt.Sprintf("netfpga: port %d EnqueueTrain on a busy MAC", p.index))
-	}
+	t := p.txq.Pop()
+	p.txqFrames -= t.Len()
+
 	e := p.card.Engine
 	rate := p.txLink.Rate
-	start := e.Now()
+	now := e.Now()
+	latch := now
 	var sizes uint64
 	for _, f := range t.Frames {
-		// Latch instant and timestamp per frame, exactly as N trySend
-		// passes would have produced them: frame k is latched the moment
-		// frame k-1's last bit leaves.
-		ts := p.card.Clock.Now(start)
+		ts := p.card.Clock.Now(latch)
 		if p.OnTransmit != nil {
-			p.OnTransmit(f, start, ts)
+			p.OnTransmit(f, latch, ts)
 		}
 		p.txStats.Add(wire.WireBytes(f.Size))
 		sizes += uint64(f.Size)
-		start = start.Add(wire.SerializationTime(f.Size, rate))
+		latch = latch.Add(wire.SerializationTime(f.Size, rate))
 	}
-	p.card.Regs.AddAt(p.regTxPackets, uint64(len(t.Frames)))
+	p.card.Regs.AddAt(p.regTxPackets, uint64(t.Len()))
 	p.card.Regs.AddAt(p.regTxBytes, sizes)
-	end := p.txLink.TransmitTrain(t, e.Now())
 	p.txBusy = true
+	end := p.txLink.Transmit(t, now)
 	if p.txDoneEv == nil {
 		//lint:ignore hotpathalloc one-time event creation per port; steady state reschedules
 		p.txDoneEv = e.Schedule(end, p.txDone)
@@ -229,94 +233,47 @@ func (p *Port) EnqueueTrain(t *wire.Train) {
 	}
 }
 
-// trySend latches and serialises the head of the TX queue when the MAC
-// is free.
-//
-//lint:hotpath
-func (p *Port) trySend() {
-	if p.txBusy || p.txq.Len() == 0 {
-		return
-	}
-	f := p.txq.Pop()
-
-	now := p.card.Engine.Now()
-	ts := p.card.Clock.Now(now)
-	if p.OnTransmit != nil {
-		p.OnTransmit(f, now, ts)
-	}
-	p.txBusy = true
-	end := p.txLink.Transmit(f)
-	p.txStats.Add(wire.WireBytes(f.Size))
-	p.card.Regs.AddAt(p.regTxPackets, 1)
-	p.card.Regs.AddAt(p.regTxBytes, uint64(f.Size))
-	if p.txDoneEv == nil {
-		//lint:ignore hotpathalloc one-time event creation per port; steady state reschedules
-		p.txDoneEv = p.card.Engine.Schedule(end, p.txDone)
-	} else {
-		p.card.Engine.Reschedule(p.txDoneEv, end)
-	}
-}
-
 func (p *Port) txDone() {
 	p.txBusy = false
 	p.trySend()
 }
 
-// Receive implements wire.Endpoint: the RX MAC latches a timestamp the
-// instant the frame fully arrives and hands it to the attached subsystem.
-// The card port is a terminal endpoint, so pooled frames are released
-// once OnReceive returns; hooks that keep the bytes past the callback
-// must copy them (the monitor's capture ring does).
+// Receive implements wire.Endpoint: one delivery event covers the whole
+// back-to-back run. Register and stat counters update in bulk; the RX
+// MAC latches each frame's timestamp the instant its last bit arrives,
+// strictly per frame in arrival order — by the consumer when an
+// OnReceiveTrain hook is attached, or here before each OnReceive call —
+// so a stateful clock observes exactly the per-frame sequence of latch
+// calls. The card port is a terminal endpoint, so pooled frames are
+// released once the hook returns; hooks that keep the bytes past the
+// callback must copy them (the monitor's capture ring does).
 //
 //lint:hotpath
-func (p *Port) Receive(f *wire.Frame, _ sim.Time, at sim.Time) {
-	ts := p.card.Clock.Now(at)
-	p.rxStats.Add(wire.WireBytes(f.Size))
-	p.card.Regs.AddAt(p.regRxPackets, 1)
-	p.card.Regs.AddAt(p.regRxBytes, uint64(f.Size))
-	if p.OnReceive != nil {
-		p.OnReceive(f, at, ts)
-	}
-	f.Release()
-}
-
-// ReceiveTrain implements wire.TrainEndpoint: one delivery event covers
-// the whole back-to-back run. Register and stat counters update in bulk;
-// timestamp latching stays strictly per frame in arrival order — by the
-// consumer when an OnReceiveTrain hook is attached, or by the unbundling
-// loop below — so a stateful clock observes exactly the per-frame
-// sequence of latch calls.
-//
-//lint:hotpath
-func (p *Port) ReceiveTrain(t *wire.Train, start, at sim.Time) {
+func (p *Port) Receive(t *wire.Train, _ sim.Time, at sim.Time) {
 	var sizes uint64
 	for _, f := range t.Frames {
 		p.rxStats.Add(wire.WireBytes(f.Size))
 		sizes += uint64(f.Size)
 	}
-	p.card.Regs.AddAt(p.regRxPackets, uint64(len(t.Frames)))
+	p.card.Regs.AddAt(p.regRxPackets, uint64(t.Len()))
 	p.card.Regs.AddAt(p.regRxBytes, sizes)
 	if p.OnReceiveTrain != nil {
 		p.OnReceiveTrain(t, at)
 		t.Release()
 		return
 	}
-	// Unbundle: recover each frame's last-bit instant arithmetically and
-	// replay the per-frame receive path.
-	lb := at
-	for i, f := range t.Frames {
-		t.Frames[i] = nil
-		ts := p.card.Clock.Now(lb)
-		if p.OnReceive != nil {
-			p.OnReceive(f, lb, ts)
+	rate := t.Rate
+	for i := range t.Frames {
+		f := t.Take(i)
+		if i > 0 {
+			at = at.Add(wire.SerializationTime(f.Size, rate))
 		}
-		if i+1 < len(t.Frames) {
-			lb = lb.Add(wire.SerializationTime(t.Frames[i+1].Size, t.Rate))
+		ts := p.card.Clock.Now(at)
+		if p.OnReceive != nil {
+			p.OnReceive(f, at, ts)
 		}
 		f.Release()
 	}
-	t.Frames = t.Frames[:0]
-	t.Recycle()
 }
 
 // TxStats returns cumulative transmit counters (wire bytes).
@@ -328,8 +285,8 @@ func (p *Port) RxStats() stats.Counter { return p.rxStats }
 // TxDrops returns frames dropped at the TX queue.
 func (p *Port) TxDrops() uint64 { return p.txDrops }
 
-// TxQueueDepth returns the instantaneous TX queue occupancy.
-func (p *Port) TxQueueDepth() int { return p.txq.Len() }
+// TxQueueDepth returns the instantaneous TX queue occupancy in frames.
+func (p *Port) TxQueueDepth() int { return p.txqFrames }
 
 func (p *Port) regName(suffix string) string {
 	return fmt.Sprintf("port%d.%s", p.index, suffix)

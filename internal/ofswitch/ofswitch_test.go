@@ -84,7 +84,7 @@ func TestFlowInstallAndForward(t *testing.T) {
 	if r.sw.Table().Len() != 1 {
 		t.Fatalf("table len %d", r.sw.Table().Len())
 	}
-	r.in.Transmit(wire.NewFrame(probe(80, 256)))
+	r.in.Transmit(wire.NewFrame(probe(80, 256)).Train(), r.in.Engine.Now())
 	r.e.Run()
 	if len(r.rx) != 1 {
 		t.Fatalf("delivered %d", len(r.rx))
@@ -100,7 +100,7 @@ func TestFlowInstallAndForward(t *testing.T) {
 
 func TestTableMissGeneratesPacketIn(t *testing.T) {
 	r := newRig(t, Config{})
-	r.in.Transmit(wire.NewFrame(probe(9999, 512)))
+	r.in.Transmit(wire.NewFrame(probe(9999, 512)).Train(), r.in.Engine.Now())
 	r.e.Run()
 	if r.sw.Misses() != 1 {
 		t.Fatalf("misses %d", r.sw.Misses())
@@ -127,7 +127,7 @@ func TestMissWithoutControllerDrops(t *testing.T) {
 	e := sim.NewEngine()
 	sw := New(e, Config{})
 	in := wire.NewLink(e, wire.Rate10G, 0, sw.Port(0))
-	in.Transmit(wire.NewFrame(probe(1, 64)))
+	in.Transmit(wire.NewFrame(probe(1, 64)).Train(), in.Engine.Now())
 	e.Run()
 	if sw.DropsNoRule() != 1 {
 		t.Fatalf("drops %d", sw.DropsNoRule())
@@ -209,7 +209,7 @@ func TestFeaturesHandshake(t *testing.T) {
 func TestModifyChangesActions(t *testing.T) {
 	r := newRig(t, Config{})
 	r.addFlow(t, 80, 2)
-	r.in.Transmit(wire.NewFrame(probe(80, 128)))
+	r.in.Transmit(wire.NewFrame(probe(80, 128)).Train(), r.in.Engine.Now())
 	r.e.Run()
 	n := len(r.rx)
 
@@ -225,7 +225,7 @@ func TestModifyChangesActions(t *testing.T) {
 		Actions: []openflow.Action{&openflow.ActionOutput{Port: 3}},
 	}, 9)
 	r.e.Run()
-	r.in.Transmit(wire.NewFrame(probe(80, 128)))
+	r.in.Transmit(wire.NewFrame(probe(80, 128)).Train(), r.in.Engine.Now())
 	r.e.Run()
 	if len(r.rx) != n {
 		t.Fatal("modified flow still reaches old port")
@@ -280,8 +280,8 @@ func TestPriorityOrdering(t *testing.T) {
 		Actions: []openflow.Action{&openflow.ActionOutput{Port: 3}},
 	}, 1)
 	r.addFlow(t, 80, 2)
-	r.in.Transmit(wire.NewFrame(probe(80, 128)))
-	r.in.Transmit(wire.NewFrame(probe(81, 128)))
+	r.in.Transmit(wire.NewFrame(probe(80, 128)).Train(), r.in.Engine.Now())
+	r.in.Transmit(wire.NewFrame(probe(81, 128)).Train(), r.in.Engine.Now())
 	r.e.Run()
 	if len(r.rx) != 1 {
 		t.Fatalf("deliveries %d, want only the port-80 probe", len(r.rx))
@@ -302,7 +302,7 @@ func TestHeaderRewriteActions(t *testing.T) {
 		},
 	}, 1)
 	r.e.Run()
-	r.in.Transmit(wire.NewFrame(probe(80, 256)))
+	r.in.Transmit(wire.NewFrame(probe(80, 256)).Train(), r.in.Engine.Now())
 	r.e.Run()
 	if len(r.rxD) != 1 {
 		t.Fatal("no delivery")
@@ -351,7 +351,7 @@ func TestRewriteAfterOutputDoesNotCorruptQueuedFrame(t *testing.T) {
 		},
 	}, 1)
 	r.e.Run()
-	r.in.Transmit(wire.NewFrame(probe(80, 256)))
+	r.in.Transmit(wire.NewFrame(probe(80, 256)).Train(), r.in.Engine.Now())
 	r.e.Run()
 	if len(r.rxD) != 1 {
 		t.Fatal("no delivery")
@@ -382,7 +382,7 @@ func TestControllerOutputAfterPortOutput(t *testing.T) {
 	r.e.Run()
 	want := probe(80, 256)
 	r.msgs = nil
-	r.in.Transmit(wire.NewFrame(want))
+	r.in.Transmit(wire.NewFrame(want).Train(), r.in.Engine.Now())
 	r.e.Run()
 	if len(r.rxD) != 1 || string(r.rxD[0]) != string(want) {
 		t.Fatalf("port egress: %d deliveries", len(r.rxD))
@@ -436,7 +436,7 @@ func TestFloodAction(t *testing.T) {
 		Actions: []openflow.Action{&openflow.ActionOutput{Port: openflow.PortFlood}},
 	}, 1)
 	r.e.Run()
-	r.in.Transmit(wire.NewFrame(probe(80, 64)))
+	r.in.Transmit(wire.NewFrame(probe(80, 64)).Train(), r.in.Engine.Now())
 	r.e.Run()
 	// Flood from port index 0 reaches the sink on index 1 exactly once
 	// (index 2's link has no peer, index 3 unconnected).
@@ -461,7 +461,7 @@ func TestPacketOutInjection(t *testing.T) {
 func TestStatsReplies(t *testing.T) {
 	r := newRig(t, Config{})
 	r.addFlow(t, 80, 2)
-	r.in.Transmit(wire.NewFrame(probe(80, 256)))
+	r.in.Transmit(wire.NewFrame(probe(80, 256)).Train(), r.in.Engine.Now())
 	r.e.Run()
 
 	r.msgs = nil
@@ -630,7 +630,7 @@ func TestCutoverUsesTimestampClock(t *testing.T) {
 		Priority: 1, BufferID: 0xffffffff, OutPort: openflow.PortNone,
 		Actions: []openflow.Action{&openflow.ActionOutput{Port: 2}}}, 1)
 	e.Run()
-	card.Port(0).Enqueue(wire.NewFrame(probe(80, 64)))
+	card.Port(0).Enqueue(wire.NewFrame(probe(80, 64)).Train())
 	e.Run()
 	if got != 1 {
 		t.Fatalf("delivered %d", got)

@@ -271,13 +271,15 @@ type Port struct {
 	index int
 
 	link *wire.Link
-	// queue is the egress FIFO: head-indexed with a recycled backing
-	// array, drained by one reusable event per port, so steady-state
-	// egress queueing allocates nothing per packet.
-	queue ring.FIFO[*wire.Frame]
-	busy  bool
-	txEv  *sim.Event // reusable: at most one transmission in flight
-	drops uint64
+	// queue is the egress FIFO of runs (a single frame is a run of one;
+	// queueFrames counts the frames): head-indexed with a recycled
+	// backing array, drained by one reusable event per port, so
+	// steady-state egress queueing allocates nothing per packet.
+	queue       ring.FIFO[*wire.Train]
+	queueFrames int
+	busy        bool
+	txEv        *sim.Event // reusable: at most one transmission in flight
+	drops       uint64
 
 	rx stats.Counter
 	tx stats.Counter
@@ -302,14 +304,77 @@ func (p *Port) RxStats() stats.Counter { return p.rx }
 // TxStats returns the transmit counters.
 func (p *Port) TxStats() stats.Counter { return p.tx }
 
-// Receive implements wire.Endpoint: dataplane packet arrival. The
-// switch owns the delivered frame: it is either forwarded onward (the
-// egress link carries it to the next device) or released back to its
-// pool on every drop path, so the dataplane stays allocation-free under
-// load.
-func (p *Port) Receive(f *wire.Frame, _ sim.Time, at sim.Time) {
-	p.rx.Add(f.Size)
+// Receive implements wire.Endpoint: dataplane arrival of a run of
+// frames. The switch owns the delivered frames: each is either
+// forwarded onward (the egress link carries it to the next device) or
+// released back to its pool on every drop path, so the dataplane stays
+// allocation-free under load. A run coalesce admits crosses the
+// dataplane as one lookup, one bulk counter update, and one egress
+// entry; everything else — misses, floods, rewrites, CPU-taxed
+// dataplanes, busy egress — is processed frame by frame at each frame's
+// exact arrival instant.
+func (p *Port) Receive(t *wire.Train, _ sim.Time, at sim.Time) {
 	s := p.sw
+	if entry, out := s.coalesce(p, t); entry != nil {
+		n := uint64(t.Len())
+		size := t.Frames[0].Size
+		for range t.Frames {
+			p.rx.Add(size)
+		}
+		entry.Packets += n
+		entry.Bytes += n * uint64(size)
+		// LastUsed is the last frame's arrival.
+		entry.LastUsed = at.Add(sim.Duration(n-1) * wire.SerializationTime(size, t.Rate))
+		out.enqueue(t, at.Add(s.cfg.PipelineLatency))
+		return
+	}
+	rate := t.Rate
+	for i := range t.Frames {
+		f := t.Take(i)
+		if i > 0 {
+			at = at.Add(wire.SerializationTime(f.Size, rate))
+		}
+		s.receive(p, f, at)
+	}
+}
+
+// coalesce returns the flow entry and egress port a run may cross the
+// dataplane with as one unit, or a nil entry when it must go frame by
+// frame. The guards guarantee per-frame equivalence: byte-identical
+// frames share one flow key and verdict; an idle, empty egress whose
+// wire is no faster than the arrival spacing serialises the run
+// back-to-back exactly as one transmission per frame would; and a zero
+// CPU tax means no per-frame management-CPU state to advance.
+func (s *Switch) coalesce(p *Port, t *wire.Train) (*Entry, *Port) {
+	if !t.Uniform || t.Len() < 2 || s.cfg.DataplaneCPUTax > 0 {
+		return nil, nil
+	}
+	f0 := t.Frames[0]
+	if wire.SerializationTime(f0.Size, s.cfg.Rate) < wire.SerializationTime(f0.Size, t.Rate) {
+		return nil, nil // faster egress wire opens inter-frame gaps
+	}
+	key, err := openflow.KeyFromPacket(f0.Data, p.OFPort())
+	if err != nil {
+		return nil, nil // runts drop per frame
+	}
+	entry := s.table.Lookup(&key)
+	if entry == nil || len(entry.Actions) != 1 {
+		return nil, nil
+	}
+	act, ok := entry.Actions[0].(*openflow.ActionOutput)
+	if !ok || act.Port < 1 || int(act.Port) > len(s.ports) {
+		return nil, nil
+	}
+	out := s.ports[act.Port-1]
+	if out.link == nil || out.busy || out.queue.Len() > 0 {
+		return nil, nil
+	}
+	return entry, out
+}
+
+// receive is the dataplane for one frame arriving at instant at.
+func (s *Switch) receive(p *Port, f *wire.Frame, at sim.Time) {
+	p.rx.Add(f.Size)
 	key, err := openflow.KeyFromPacket(f.Data, p.OFPort())
 	if err != nil {
 		s.runtDrops++
@@ -353,92 +418,6 @@ func (p *Port) Receive(f *wire.Frame, _ sim.Time, at sim.Time) {
 	entry.LastUsed = at
 	ready := at.Add(s.cfg.PipelineLatency)
 	s.applyActions(entry.Actions, f, p, ready)
-}
-
-// ReceiveTrain implements wire.TrainEndpoint: a uniform run whose flow
-// hits the table with a single concrete output and an idle egress port
-// crosses the dataplane as one lookup, one bulk counter update, and one
-// back-to-back transmission. Everything else — misses, floods, rewrites,
-// CPU-taxed dataplanes, busy egress — unbundles into per-frame Receive
-// calls with each frame's exact arrival instants.
-func (p *Port) ReceiveTrain(t *wire.Train, start, at sim.Time) {
-	if p.sw.receiveTrainFast(p, t, at) {
-		return
-	}
-	fb, lb := start, at
-	for i, f := range t.Frames {
-		t.Frames[i] = nil
-		p.Receive(f, fb, lb)
-		if i+1 < len(t.Frames) {
-			fb = lb
-			lb = fb.Add(wire.SerializationTime(t.Frames[i+1].Size, t.Rate))
-		}
-	}
-	t.Frames = t.Frames[:0]
-	t.Recycle()
-}
-
-// receiveTrainFast attempts the coalesced dataplane pass, reporting
-// whether it consumed the train. The guards guarantee per-frame
-// equivalence: byte-identical frames share one flow key and verdict; an
-// idle, empty egress whose wire is no faster than the arrival spacing
-// serialises the run back-to-back exactly as N chained TransmitAt calls
-// would; and a zero CPU tax means no per-frame management-CPU state to
-// advance.
-func (s *Switch) receiveTrainFast(p *Port, t *wire.Train, at sim.Time) bool {
-	n := len(t.Frames)
-	if !t.Uniform || n < 2 || s.cfg.DataplaneCPUTax > 0 {
-		return false
-	}
-	f0 := t.Frames[0]
-	slot := wire.SerializationTime(f0.Size, t.Rate)
-	if wire.SerializationTime(f0.Size, s.cfg.Rate) < slot {
-		return false // faster egress wire opens inter-frame gaps
-	}
-	key, err := openflow.KeyFromPacket(f0.Data, p.OFPort())
-	if err != nil {
-		return false // runts drop per frame
-	}
-	entry := s.table.Lookup(&key)
-	if entry == nil || len(entry.Actions) != 1 {
-		return false
-	}
-	act, ok := entry.Actions[0].(*openflow.ActionOutput)
-	if !ok || act.Port < 1 || int(act.Port) > len(s.ports) {
-		return false
-	}
-	out := s.ports[act.Port-1]
-	if out.link == nil || out.busy || out.queue.Len() > 0 {
-		return false
-	}
-
-	size := f0.Size
-	for range t.Frames {
-		p.rx.Add(size)
-	}
-	entry.Packets += uint64(n)
-	entry.Bytes += uint64(n) * uint64(size)
-	entry.LastUsed = at.Add(sim.Duration(n-1) * slot) // last frame's arrival
-	for _, f := range t.Frames {
-		f.SrcPort = out.index
-	}
-	ready := at.Add(s.cfg.PipelineLatency)
-	out.busy = true
-	end := out.link.TransmitTrain(t, ready)
-	for i := 0; i < n; i++ {
-		out.tx.Add(size)
-		s.forwarded.Add(size)
-	}
-	eventAt := end
-	if now := s.Engine.Now(); eventAt < now {
-		eventAt = now
-	}
-	if out.txEv == nil {
-		out.txEv = s.Engine.Schedule(eventAt, out.txDone)
-	} else {
-		s.Engine.Reschedule(out.txEv, eventAt)
-	}
-	return true
 }
 
 // applyActions executes an OF 1.0 action list on a frame arriving on
@@ -540,38 +519,42 @@ func (s *Switch) output(act *openflow.ActionOutput, f *wire.Frame, in *Port, rea
 				continue
 			}
 			if i == lastEligible {
-				p.enqueue(take(), ready)
+				p.enqueue(take().Train(), ready)
 			} else {
-				p.enqueue(f.Clone(), ready)
+				p.enqueue(f.Clone().Train(), ready)
 			}
 		}
 	case act.Port == openflow.PortInPort:
-		in.enqueue(take(), ready)
+		in.enqueue(take().Train(), ready)
 	case act.Port >= 1 && int(act.Port) <= len(s.ports):
-		s.ports[act.Port-1].enqueue(take(), ready)
+		s.ports[act.Port-1].enqueue(take().Train(), ready)
 	default:
 		// PortNone / unsupported reserved port: drop (applyActions
 		// releases the frame if nothing consumed it).
 	}
 }
 
-func (p *Port) enqueue(f *wire.Frame, earliest sim.Time) {
+func (p *Port) enqueue(t *wire.Train, earliest sim.Time) {
+	n := uint64(t.Len())
 	if p.link == nil {
 		// Unconnected port: black hole, as hardware would — but the
 		// ledger still attributes the loss.
-		p.sw.unconnDrops++
-		p.sw.ledger.Report(p.sw.dropHop, wire.DropUnconnected, 1)
-		f.Release()
+		p.sw.unconnDrops += n
+		p.sw.ledger.Report(p.sw.dropHop, wire.DropUnconnected, n)
+		t.Release()
 		return
 	}
-	if p.queue.Len() >= p.sw.cfg.EgressQueueCap {
-		p.drops++
-		p.sw.ledger.Report(p.sw.dropHop, wire.DropEgressOverflow, 1)
-		f.Release()
+	if p.queueFrames >= p.sw.cfg.EgressQueueCap {
+		p.drops += n
+		p.sw.ledger.Report(p.sw.dropHop, wire.DropEgressOverflow, n)
+		t.Release()
 		return
 	}
-	f.SrcPort = p.index
-	p.queue.Push(f)
+	for _, f := range t.Frames {
+		f.SrcPort = p.index
+	}
+	p.queue.Push(t)
+	p.queueFrames += t.Len()
 	p.sendFrom(earliest)
 }
 
@@ -579,11 +562,14 @@ func (p *Port) sendFrom(earliest sim.Time) {
 	if p.busy || p.queue.Len() == 0 {
 		return
 	}
-	f := p.queue.Pop()
+	t := p.queue.Pop()
+	p.queueFrames -= t.Len()
 	p.busy = true
-	end := p.link.TransmitAt(f, earliest)
-	p.tx.Add(f.Size)
-	p.sw.forwarded.Add(f.Size)
+	for _, f := range t.Frames {
+		p.tx.Add(f.Size)
+		p.sw.forwarded.Add(f.Size)
+	}
+	end := p.link.Transmit(t, earliest)
 	eventAt := end
 	if now := p.sw.Engine.Now(); eventAt < now {
 		eventAt = now

@@ -48,12 +48,11 @@ import (
 	"osnt/internal/wire"
 )
 
-// record is one exported frame or train crossing a shard boundary,
+// record is one exported run of frames crossing a shard boundary,
 // buffered between the window it was transmitted in and the barrier
 // that replays it.
 type record struct {
-	f                 *wire.Frame
-	train             *wire.Train // non-nil: a coalesced run, f unused
+	t                 *wire.Train
 	peer              wire.Endpoint
 	firstBit, lastBit sim.Time
 	// key is the boundary link's structural delivery key (wire.Exporter's
@@ -84,17 +83,10 @@ type boundary struct {
 	peer wire.Endpoint
 }
 
-// ExportFrame implements wire.Exporter.
-func (b *boundary) ExportFrame(f *wire.Frame, firstBit, lastBit sim.Time, key uint64) {
+// Export implements wire.Exporter.
+func (b *boundary) Export(t *wire.Train, firstBit, lastBit sim.Time, key uint64) {
 	ch := b.ch
-	ch.recs = append(ch.recs, record{f: f, peer: b.peer, firstBit: firstBit, lastBit: lastBit, key: key, src: ch.src, seq: ch.seq})
-	ch.seq++
-}
-
-// ExportTrain implements wire.Exporter.
-func (b *boundary) ExportTrain(t *wire.Train, firstBit, lastBit sim.Time, key uint64) {
-	ch := b.ch
-	ch.recs = append(ch.recs, record{train: t, peer: b.peer, firstBit: firstBit, lastBit: lastBit, key: key, src: ch.src, seq: ch.seq})
+	ch.recs = append(ch.recs, record{t: t, peer: b.peer, firstBit: firstBit, lastBit: lastBit, key: key, src: ch.src, seq: ch.seq})
 	ch.seq++
 }
 
@@ -113,11 +105,7 @@ func (s *slot) fire() {
 	rec := s.rec
 	s.rec = record{}
 	s.c.free[s.dst] = append(s.c.free[s.dst], s)
-	if rec.train != nil {
-		wire.DeliverTrain(rec.peer, rec.train, rec.firstBit, rec.lastBit)
-		return
-	}
-	rec.peer.Receive(rec.f, rec.firstBit, rec.lastBit)
+	rec.peer.Receive(rec.t, rec.firstBit, rec.lastBit)
 }
 
 // Cluster owns one engine per shard plus the boundary channels and the

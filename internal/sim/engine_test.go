@@ -205,40 +205,6 @@ func TestPropertyEventOrder(t *testing.T) {
 	}
 }
 
-// Property: the calendar queue pops events in exactly the order the
-// engine's heap would (time, then FIFO).
-func TestPropertyCalendarQueueMatchesHeap(t *testing.T) {
-	f := func(offsets []uint16) bool {
-		cq := NewCalendarQueue(64, 100)
-		heapEng := NewEngine()
-		for _, off := range offsets {
-			at := Time(off)
-			cq.Push(at, nil)
-			heapEng.Schedule(at, func() {})
-		}
-		var cqOrder []Time
-		for ev := cq.Pop(); ev != nil; ev = cq.Pop() {
-			cqOrder = append(cqOrder, ev.At())
-		}
-		var heapOrder []Time
-		for heapEng.Step() {
-			heapOrder = append(heapOrder, heapEng.Now())
-		}
-		if len(cqOrder) != len(heapOrder) {
-			return false
-		}
-		for i := range cqOrder {
-			if cqOrder[i] != heapOrder[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDurationString(t *testing.T) {
 	cases := []struct {
 		d    Duration
@@ -389,22 +355,6 @@ func BenchmarkHeapQueue(b *testing.B) {
 		}
 	}
 	for e.Step() {
-	}
-}
-
-func BenchmarkCalendarQueue(b *testing.B) {
-	q := NewCalendarQueue(1024, 16)
-	r := NewRand(1)
-	now := Time(0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		q.Push(now+Time(r.Intn(10000)), nil)
-		if q.Len() > 1024 {
-			ev := q.Pop()
-			now = ev.At()
-		}
-	}
-	for q.Pop() != nil {
 	}
 }
 

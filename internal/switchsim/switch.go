@@ -159,15 +159,14 @@ type Switch struct {
 	dropHop int
 }
 
+// pendingLookup is one lookup-FIFO entry: a single frame (a run of one)
+// or a coalesced uniform run. lastBit and readyAt are the FIRST frame's
+// instants and span is the per-frame ingress occupancy, so every later
+// frame's instants follow arithmetically (lastBit_k = lastBit + k·span,
+// readyAt_k = readyAt + k·span — exact because a run of more than one
+// requires service ≤ span, see trainViable).
 type pendingLookup struct {
-	f *wire.Frame
-	// train, when non-nil, is a coalesced uniform run occupying one FIFO
-	// entry (f is nil): lastBit and readyAt are the FIRST frame's
-	// instants and span is the per-frame ingress occupancy, so every
-	// later frame's instants follow arithmetically (lastBit_k =
-	// lastBit + k·span, readyAt_k = readyAt + k·span — exact because the
-	// train fast path requires service ≤ span, see trainViable).
-	train   *wire.Train
+	run     *wire.Train
 	inPort  int
 	lastBit sim.Time     // frame fully received at the ingress MAC
 	span    sim.Duration // ingress wire occupancy (lastBit - firstBit)
@@ -325,60 +324,10 @@ func (s *Switch) MACTable() map[packet.MAC]int {
 	return out
 }
 
-// receive is called by a Port when a frame has fully arrived (the event
-// fires at the last bit; cut-through work is backdated to the header
-// window, which is sound because its effects — egress serialisation —
-// are themselves modelled with backdatable start times).
-//
-//lint:hotpath
-func (s *Switch) receive(p *Port, f *wire.Frame, firstBit, lastBit sim.Time) {
-	// Earliest instant the lookup may begin, by forwarding mode. The
-	// header window is timed at the ingress port's own rate: on a
-	// mixed-rate switch a 40G port has its 64 bytes 4× sooner than a 10G
-	// one.
-	start := lastBit
-	if s.cfg.Mode == CutThrough {
-		window := sim.Duration(cutThroughWindow) * s.PortRate(p.index).ByteTime()
-		d := firstBit.Add(window)
-		if d > lastBit {
-			d = lastBit // tiny frames: header window is the whole frame
-		}
-		start = d
-	}
-	if p.lookupFrames >= s.cfg.LookupQueueCap {
-		s.lookupDrops++
-		s.ledger.Report(s.dropHop, wire.DropLookupOverflow, 1)
-		f.Release() // dropped frames go back to their pool
-		return
-	}
-	f.SrcPort = p.index
-
-	// Per-ingress single-server lookup queue, tracked arithmetically so a
-	// cut-through lookup can begin "in the past" relative to this event.
-	if start < p.lookupFreeAt {
-		start = p.lookupFreeAt
-	}
-	service := s.cfg.LookupPerPacket + sim.Duration(f.Size)*s.cfg.LookupPerByte
-	if j := s.cfg.LookupJitter; j > 0 {
-		service = sim.Duration(float64(service) * (1 + j*(2*s.rand.Float64()-1)))
-	}
-	done := start.Add(service)
-	p.lookupFreeAt = done
-	ready := done.Add(s.cfg.PipelineLatency)
-
-	// Ready instants are monotonic per port (the lookup server is
-	// single-threaded and the pipeline delay constant), so the pending
-	// lookups form a FIFO drained by one reusable event per port instead
-	// of one Event + closure per packet.
-	p.lookupQ.Push(pendingLookup{f: f, inPort: p.index, lastBit: lastBit, span: lastBit.Sub(firstBit), readyAt: ready})
-	p.lookupFrames++
-	if p.lookupQ.Len() == 1 {
-		p.armLookup(ready)
-	}
-}
-
-// trainViable reports whether a uniform run can take the coalesced
-// lookup path exactly. The conditions guarantee the per-frame pipeline
+// trainViable reports how a delivered run enters the lookup pipeline:
+// true when it can move as one entry exactly, false when it must enter
+// frame by frame. A run of one always moves as one entry. A longer run
+// must be uniform, and the conditions guarantee the per-frame pipeline
 // would have produced arithmetically derivable instants and no drops:
 // store-and-forward with deterministic service keeps every lookup start
 // at its frame's last bit; service ≤ per-frame slot plus an idle server
@@ -398,7 +347,10 @@ func (s *Switch) receive(p *Port, f *wire.Frame, firstBit, lastBit sim.Time) {
 // the real path), so a train that fails it replays per frame bit-exactly.
 func (s *Switch) trainViable(p *Port, t *wire.Train, at sim.Time) bool {
 	n := len(t.Frames)
-	if !t.Uniform || n < 2 {
+	if n == 1 {
+		return true
+	}
+	if !t.Uniform {
 		return false
 	}
 	if s.cfg.Mode != StoreAndForward || s.cfg.LookupJitter != 0 {
@@ -420,7 +372,7 @@ func (s *Switch) trainViable(p *Port, t *wire.Train, at sim.Time) bool {
 	// linked, non-hairpin egress with overflow headroom. Between this
 	// peek (first frame's last bit) and the decision (lookup ready) the
 	// egress can only drain, so the margin checked here still holds when
-	// dispatchTrain re-checks it.
+	// dispatch re-checks it.
 	var eth packet.Ethernet
 	if err := eth.DecodeFromBytes(t.Frames[0].Data); err != nil {
 		return false
@@ -450,24 +402,60 @@ func (s *Switch) trainViable(p *Port, t *wire.Train, at sim.Time) bool {
 	return op.queueFrames+n <= ecap/2 && n <= ecap/4
 }
 
-// receiveTrain admits a guard-checked uniform run as one lookup-FIFO
-// entry drained by one event.
+// receive admits one lookup-FIFO entry — a frame, or a run trainViable
+// passed — whose first frame fully arrived at lastBit (the event fires
+// at the last bit; cut-through work is backdated to the header window,
+// which is sound because its effects — egress serialisation — are
+// themselves modelled with backdatable start times).
 //
 //lint:hotpath
-func (s *Switch) receiveTrain(p *Port, t *wire.Train, at sim.Time) {
-	n := len(t.Frames)
-	size := t.Frames[0].Size
-	slot := wire.SerializationTime(size, t.Rate)
-	service := s.cfg.LookupPerPacket + sim.Duration(size)*s.cfg.LookupPerByte
-	for _, f := range t.Frames {
+func (s *Switch) receive(p *Port, run *wire.Train, firstBit, lastBit sim.Time) {
+	// Earliest instant the lookup may begin, by forwarding mode. The
+	// header window is timed at the ingress port's own rate: on a
+	// mixed-rate switch a 40G port has its 64 bytes 4× sooner than a 10G
+	// one.
+	start := lastBit
+	if s.cfg.Mode == CutThrough {
+		window := sim.Duration(cutThroughWindow) * s.PortRate(p.index).ByteTime()
+		d := firstBit.Add(window)
+		if d > lastBit {
+			d = lastBit // tiny frames: header window is the whole frame
+		}
+		start = d
+	}
+	n := run.Len()
+	if p.lookupFrames >= s.cfg.LookupQueueCap {
+		s.lookupDrops += uint64(n)
+		s.ledger.Report(s.dropHop, wire.DropLookupOverflow, uint64(n))
+		run.Release() // dropped frames go back to their pool
+		return
+	}
+	for _, f := range run.Frames {
 		f.SrcPort = p.index
 	}
-	// Lookup k runs [lastBit_k, lastBit_k + service] with no queueing
-	// (trainViable guarantees service ≤ slot and an idle server), so the
-	// server frees when the last frame's lookup completes.
-	p.lookupFreeAt = at.Add(sim.Duration(n-1)*slot + service)
-	ready := at.Add(service + s.cfg.PipelineLatency)
-	p.lookupQ.Push(pendingLookup{train: t, inPort: p.index, lastBit: at, span: slot, readyAt: ready})
+
+	// Per-ingress single-server lookup queue, tracked arithmetically so a
+	// cut-through lookup can begin "in the past" relative to this event.
+	if start < p.lookupFreeAt {
+		start = p.lookupFreeAt
+	}
+	service := s.cfg.LookupPerPacket + sim.Duration(run.Frames[0].Size)*s.cfg.LookupPerByte
+	if j := s.cfg.LookupJitter; j > 0 {
+		service = sim.Duration(float64(service) * (1 + j*(2*s.rand.Float64()-1)))
+	}
+	done := start.Add(service)
+	span := lastBit.Sub(firstBit)
+	// Lookup k of a run runs [lastBit_k, lastBit_k + service] with no
+	// queueing (trainViable guarantees service ≤ span and an idle
+	// server), so the server frees when the last frame's lookup completes.
+	p.lookupFreeAt = done.Add(sim.Duration(n-1) * span)
+	ready := done.Add(s.cfg.PipelineLatency)
+
+	// Ready instants are monotonic per port (the lookup server is
+	// single-threaded and the pipeline delay constant), so the pending
+	// lookups form a FIFO drained by one reusable event per port instead
+	// of one Event + closure per packet.
+	p.lookupQ.Push(pendingLookup{run: run, inPort: p.index, lastBit: lastBit, span: span, readyAt: ready})
 	p.lookupFrames += n
 	if p.lookupQ.Len() == 1 {
 		p.armLookup(ready)
@@ -490,134 +478,36 @@ func (p *Port) armLookup(ready sim.Time) {
 }
 
 // lookupDone pops the head pending lookup, re-arms for the next one, and
-// hands the frame to the forwarding decision.
+// hands the entry to the forwarding decision.
 //
 //lint:hotpath
 func (p *Port) lookupDone() {
 	d := p.lookupQ.Pop()
-	if d.train != nil {
-		p.lookupFrames -= d.train.Len()
-	} else {
-		p.lookupFrames--
-	}
+	p.lookupFrames -= d.run.Len()
 	if p.lookupQ.Len() > 0 {
 		p.armLookup(p.lookupQ.Peek().readyAt)
-	}
-	if d.train != nil {
-		p.sw.decideTrain(d)
-		return
 	}
 	p.sw.decide(d)
 }
 
-// decideTrain makes one forwarding decision for a uniform run: the
-// frames are byte-identical, so source learning, the destination lookup,
-// the hairpin verdict, and the ECMP member are per-flow facts computed
-// once. Counter and ledger deltas scale by the frame count, keeping
-// every observable identical to N per-frame decisions.
-func (s *Switch) decideTrain(d pendingLookup) {
-	t := d.train
+// decide learns the source, looks up the destination, and hands the
+// entry to the egress port(s). A run's frames are byte-identical, so
+// source learning, the destination lookup, the hairpin verdict, and the
+// ECMP member are per-flow facts computed once; counter and ledger
+// deltas scale by the frame count, keeping every observable identical to
+// one decision per frame.
+func (s *Switch) decide(d pendingLookup) {
+	t := d.run
 	n := uint64(t.Len())
+	data := t.Frames[0].Data
 	var eth packet.Ethernet
-	if err := eth.DecodeFromBytes(t.Frames[0].Data); err != nil {
-		s.runtDrops += n
-		s.ledger.Report(s.dropHop, wire.DropRunt, n)
-		t.Release()
-		return
-	}
-	if !eth.Src.IsMulticast() {
-		if cur, ok := s.fdb[eth.Src]; !ok || cur >= 0 || s.groupOf[d.inPort] != -cur {
-			s.fdb[eth.Src] = d.inPort
-		}
-	}
-	out, ok := s.fdb[eth.Dst]
-	if !ok || eth.Dst.IsMulticast() {
-		// Flooding clones per egress port with per-frame flood
-		// accounting; the per-frame decision path already does exactly
-		// that.
-		s.decidePerFrame(d)
-		return
-	}
-	if out < 0 {
-		if g := -out; s.groupOf[d.inPort] == g {
-			s.hairpinDrops += n
-			s.ledger.Report(s.dropHop, wire.DropHairpin, n)
-			t.Release()
-			return
-		}
-		out = s.sprayMember(-out, t.Frames[0].Data)
-		s.sprays += n - 1 // sprayMember counted one selection; per-frame counts n
-	}
-	if out == d.inPort {
-		s.hairpinDrops += n
-		s.ledger.Report(s.dropHop, wire.DropHairpin, n)
-		t.Release()
-		return
-	}
-	s.dispatchTrain(d, out)
-}
-
-// decidePerFrame unbundles a train at the decision stage, replaying the
-// per-frame path with each frame's exact instants.
-func (s *Switch) decidePerFrame(d pendingLookup) {
-	t := d.train
-	lb, ready := d.lastBit, d.readyAt
-	for i, f := range t.Frames {
-		t.Frames[i] = nil
-		s.decide(pendingLookup{f: f, inPort: d.inPort, lastBit: lb, span: d.span, readyAt: ready})
-		lb = lb.Add(d.span)
-		ready = ready.Add(d.span)
-	}
-	t.Frames = t.Frames[:0]
-	t.Recycle()
-}
-
-// dispatchTrain hands a whole uniform run to one egress port. The run
-// stays coalesced — one egress FIFO entry, one transmit event — when the
-// egress wire is no faster than the arrival spacing (same-rate egress
-// preserves abutment; down-conversion backs the frames up against each
-// other) and the queue has the same overflow margin the lookup guard
-// demands. A faster egress wire would open gaps between the frames, and
-// a near-full queue needs interleaved per-frame drop accounting, so both
-// leave per frame instead.
-func (s *Switch) dispatchTrain(d pendingLookup, out int) {
-	t := d.train
-	p := s.ports[out]
-	serOut := wire.SerializationTime(t.Frames[0].Size, s.PortRate(out))
-	boundary := serOut != d.span
-	n := t.Len()
-	qcap := s.cfg.EgressQueueCap
-	if serOut < d.span || p.link == nil || p.queueFrames+n > qcap/2 || n > qcap/4 {
-		// Per-frame egress. In store-and-forward mode readyAt_k is
-		// always past lastBit_k (service + pipeline are positive), so
-		// dispatch()'s boundary clamp can never fire; earliest is the
-		// ready instant directly.
-		earliest := d.readyAt
-		for i, f := range t.Frames {
-			t.Frames[i] = nil
-			p.enqueue(f, earliest, boundary)
-			earliest = earliest.Add(d.span)
-		}
-		t.Frames = t.Frames[:0]
-		t.Recycle()
-		return
-	}
-	p.queue.Push(queued{train: t, earliest: d.readyAt})
-	p.queueFrames += n
-	p.trySend()
-}
-
-// decide learns the source, looks up the destination, and hands the frame
-// to the egress port(s).
-func (s *Switch) decide(p pendingLookup) {
-	var eth packet.Ethernet
-	if err := eth.DecodeFromBytes(p.f.Data); err != nil {
+	if err := eth.DecodeFromBytes(data); err != nil {
 		// Runt frame: too short for a forwarding decision. Hardware
 		// discards these at the parser; the ledger attributes them like
 		// every other loss (this used to be a silent, uncounted drop).
-		s.runtDrops++
-		s.ledger.Report(s.dropHop, wire.DropRunt, 1)
-		p.f.Release()
+		s.runtDrops += n
+		s.ledger.Report(s.dropHop, wire.DropRunt, n)
+		t.Release()
 		return
 	}
 	if !eth.Src.IsMulticast() {
@@ -626,75 +516,109 @@ func (s *Switch) decide(p pendingLookup) {
 		// group's members (any member — that is what a bundle is).
 		// Arrival anywhere else means the station moved, so relearn to
 		// the port as usual.
-		if cur, ok := s.fdb[eth.Src]; !ok || cur >= 0 || s.groupOf[p.inPort] != -cur {
-			s.fdb[eth.Src] = p.inPort
+		if cur, ok := s.fdb[eth.Src]; !ok || cur >= 0 || s.groupOf[d.inPort] != -cur {
+			s.fdb[eth.Src] = d.inPort
 		}
 	}
-	if out, ok := s.fdb[eth.Dst]; ok && !eth.Dst.IsMulticast() {
-		if out < 0 {
-			// Never spray a frame back into the bundle it arrived on —
-			// the group is one logical port, so this is a hairpin even
-			// when the hash would pick a sibling member.
-			if g := -out; s.groupOf[p.inPort] == g {
-				s.hairpinDrops++
-				s.ledger.Report(s.dropHop, wire.DropHairpin, 1)
-				p.f.Release()
-				return
-			}
-			out = s.sprayMember(-out, p.f.Data)
-		}
-		if out != p.inPort {
-			s.dispatch(p, out, p.f)
-		} else {
-			// Never hairpin out the ingress port.
-			s.hairpinDrops++
-			s.ledger.Report(s.dropHop, wire.DropHairpin, 1)
-			p.f.Release()
-		}
+	out, ok := s.fdb[eth.Dst]
+	if !ok || eth.Dst.IsMulticast() {
+		s.flood(d)
 		return
 	}
-	// Unknown unicast, multicast or broadcast: flood to every connected
-	// port except the ingress (link-less ports are down). The egress
-	// queues take clones, so the ingress frame goes back to its pool.
-	s.floods++
-	for i, port := range s.ports {
-		if i == p.inPort || port.link == nil {
-			continue
+	if out < 0 {
+		// Never spray a frame back into the bundle it arrived on — the
+		// group is one logical port, so this is a hairpin even when the
+		// hash would pick a sibling member.
+		if g := -out; s.groupOf[d.inPort] == g {
+			s.hairpinDrops += n
+			s.ledger.Report(s.dropHop, wire.DropHairpin, n)
+			t.Release()
+			return
 		}
-		if g := s.groupOf[i]; g != 0 {
-			// A group is one logical port: flood a single copy via the
-			// spray-selected member, and nothing back into a group the
-			// ingress port belongs to.
-			if s.groupOf[p.inPort] == g || s.sprayMember(g, p.f.Data) != i {
-				continue
-			}
-		}
-		s.dispatch(p, i, p.f.Clone())
+		out = s.sprayMember(-out, data)
+		s.sprays += n - 1 // sprayMember counted one selection; per-frame counts n
 	}
-	p.f.Release()
+	if out == d.inPort {
+		// Never hairpin out the ingress port.
+		s.hairpinDrops += n
+		s.ledger.Report(s.dropHop, wire.DropHairpin, n)
+		t.Release()
+		return
+	}
+	s.dispatch(d, out)
 }
 
-// dispatch hands frame f (owned by the egress from here) to egress port
-// out for pending lookup p, applying store-and-forward speed conversion.
-// Crossing a rate boundary forces store-and-forward even on a
-// cut-through switch: serialising at a faster egress rate than the bits
-// arrive would underrun the MAC, and real converting hardware buffers
-// the whole frame. The boundary is detected against the frame's *actual*
-// ingress occupancy (lastBit − firstBit, which encodes the arrival
-// wire's rate), not the ingress port's nominal rate — a topo Convert
-// edge can legally deliver a slower wire into a faster port, and that
-// boundary must store too. Same-rate forwarding keeps the lookup-derived
-// instant untouched, so uniform-rate switches behave exactly as before.
-// The boundary flag also classifies any overflow drop: losing frames at
-// a conversion point is structural (rate-boundary), not incidental
-// fan-in (egress-overflow).
-func (s *Switch) dispatch(p pendingLookup, out int, f *wire.Frame) {
-	boundary := wire.SerializationTime(f.Size, s.PortRate(out)) != p.span
-	earliest := p.readyAt
-	if boundary && earliest < p.lastBit {
-		earliest = p.lastBit // not fully stored yet: wait for the last bit
+// flood handles unknown unicast, multicast and broadcast: each frame of
+// the entry, at its own instants, goes to every connected port except
+// the ingress (link-less ports are down), with per-frame flood
+// accounting. The egress queues take clones, so the ingress frames go
+// back to their pool.
+func (s *Switch) flood(d pendingLookup) {
+	t := d.run
+	for i := range t.Frames {
+		f := t.Take(i)
+		s.floods++
+		for j, port := range s.ports {
+			if j == d.inPort || port.link == nil {
+				continue
+			}
+			if g := s.groupOf[j]; g != 0 {
+				// A group is one logical port: flood a single copy via the
+				// spray-selected member, and nothing back into a group the
+				// ingress port belongs to.
+				if s.groupOf[d.inPort] == g || s.sprayMember(g, f.Data) != j {
+					continue
+				}
+			}
+			s.dispatch(pendingLookup{run: f.Clone().Train(), inPort: d.inPort, lastBit: d.lastBit, span: d.span, readyAt: d.readyAt}, j)
+		}
+		f.Release()
+		d.lastBit, d.readyAt = d.lastBit.Add(d.span), d.readyAt.Add(d.span)
 	}
-	s.ports[out].enqueue(f, earliest, boundary)
+}
+
+// dispatch hands entry d (owned by the egress from here) to egress port
+// out, applying store-and-forward speed conversion. Crossing a rate
+// boundary forces store-and-forward even on a cut-through switch:
+// serialising at a faster egress rate than the bits arrive would
+// underrun the MAC, and real converting hardware buffers the whole
+// frame. The boundary is detected against the frame's *actual* ingress
+// occupancy (lastBit − firstBit, which encodes the arrival wire's rate),
+// not the ingress port's nominal rate — a topo Convert edge can legally
+// deliver a slower wire into a faster port, and that boundary must store
+// too. Same-rate forwarding keeps the lookup-derived instant untouched,
+// so uniform-rate switches behave exactly as before. The boundary flag
+// also classifies any overflow drop: losing frames at a conversion point
+// is structural (rate-boundary), not incidental fan-in (egress-overflow).
+//
+// A run stays coalesced — one egress FIFO entry, one transmit event —
+// when the egress wire is no faster than the arrival spacing (same-rate
+// egress preserves abutment; down-conversion backs the frames up against
+// each other) and the queue has the same overflow margin the lookup
+// guard demands. A faster egress wire would open gaps between the
+// frames, and a near-full queue needs interleaved per-frame drop
+// accounting, so both leave per frame instead. (Runs are
+// store-and-forward, where readyAt_k is always past lastBit_k, so the
+// boundary clamp never fires for them.)
+func (s *Switch) dispatch(d pendingLookup, out int) {
+	t := d.run
+	p := s.ports[out]
+	serOut := wire.SerializationTime(t.Frames[0].Size, s.PortRate(out))
+	boundary := serOut != d.span
+	earliest := d.readyAt
+	if boundary && earliest < d.lastBit {
+		earliest = d.lastBit // not fully stored yet: wait for the last bit
+	}
+	n := t.Len()
+	qcap := s.cfg.EgressQueueCap
+	if n == 1 || serOut >= d.span && p.link != nil && p.queueFrames+n <= qcap/2 && n <= qcap/4 {
+		p.enqueue(t, earliest, boundary)
+		return
+	}
+	for i := range t.Frames {
+		p.enqueue(t.Take(i).Train(), earliest, boundary)
+		earliest = earliest.Add(d.span)
+	}
 }
 
 // Port is one switch interface.
@@ -713,8 +637,8 @@ type Port struct {
 	egress stats.Counter
 
 	// queueFrames counts frames (not FIFO entries) pending in the egress
-	// queue: a train entry carries many, so the cap check needs the frame
-	// count. Equal to queue.Len() when no trains are queued.
+	// queue: a train entry carries many, so the cap check and QueueDepth
+	// need the frame count.
 	queueFrames int
 
 	// Ingress lookup pipeline state: a FIFO of frames whose lookup is in
@@ -727,9 +651,10 @@ type Port struct {
 	lookupFrames int
 }
 
+// queued is one egress-FIFO entry: a frame (a run of one) or a coalesced
+// run, transmitted in one MAC pass from earliest on.
 type queued struct {
-	f        *wire.Frame
-	train    *wire.Train // non-nil: a coalesced run transmitted in one pass
+	run      *wire.Train
 	earliest sim.Time
 }
 
@@ -739,32 +664,26 @@ func (p *Port) Index() int { return p.index }
 // SetLink attaches the egress link.
 func (p *Port) SetLink(l *wire.Link) { p.link = l }
 
-// Receive implements wire.Endpoint.
-func (p *Port) Receive(f *wire.Frame, firstBit, lastBit sim.Time) {
-	p.sw.receive(p, f, firstBit, lastBit)
-}
-
-// ReceiveTrain implements wire.TrainEndpoint: a uniform run inside the
-// exactness envelope (trainViable) flows through the switch as one
-// lookup entry, one decision, and one egress entry; anything else
-// unbundles into the per-frame receive path with each frame's exact
-// first-bit/last-bit instants.
-func (p *Port) ReceiveTrain(t *wire.Train, start, at sim.Time) {
+// Receive implements wire.Endpoint: a run trainViable passes — a single
+// frame, or a uniform run inside the exactness envelope — flows through
+// the switch as one lookup entry, one decision, and one egress entry;
+// any other run enters the lookup pipeline frame by frame with each
+// frame's exact first-bit/last-bit instants.
+//
+//lint:hotpath
+func (p *Port) Receive(t *wire.Train, start, at sim.Time) {
 	if p.sw.trainViable(p, t, at) {
-		p.sw.receiveTrain(p, t, at)
+		p.sw.receive(p, t, start, at)
 		return
 	}
-	fb, lb := start, at
-	for i, f := range t.Frames {
-		t.Frames[i] = nil
-		p.sw.receive(p, f, fb, lb)
-		if i+1 < len(t.Frames) {
-			fb = lb
-			lb = fb.Add(wire.SerializationTime(t.Frames[i+1].Size, t.Rate))
+	rate := t.Rate
+	for i := range t.Frames {
+		f := t.Take(i)
+		if i > 0 {
+			start, at = at, at.Add(wire.SerializationTime(f.Size, rate))
 		}
+		p.sw.receive(p, f.Train(), start, at)
 	}
-	t.Frames = t.Frames[:0]
-	t.Recycle()
 }
 
 // Drops returns frames lost to egress queue overflow.
@@ -773,30 +692,32 @@ func (p *Port) Drops() uint64 { return p.drops }
 // Egress returns counters over frames transmitted out of this port.
 func (p *Port) Egress() stats.Counter { return p.egress }
 
-// QueueDepth returns the instantaneous egress queue occupancy.
-func (p *Port) QueueDepth() int { return p.queue.Len() }
+// QueueDepth returns the instantaneous egress queue occupancy in frames.
+func (p *Port) QueueDepth() int { return p.queueFrames }
 
-func (p *Port) enqueue(f *wire.Frame, earliest sim.Time, boundary bool) {
+func (p *Port) enqueue(t *wire.Train, earliest sim.Time, boundary bool) {
 	if p.link == nil {
 		panic(fmt.Sprintf("switchsim: egress port %d has no link", p.index))
 	}
 	if p.queueFrames >= p.sw.cfg.EgressQueueCap {
-		p.drops++
+		n := uint64(t.Len())
+		p.drops += n
 		reason := wire.DropEgressOverflow
 		if boundary {
 			reason = wire.DropRateBoundary
 		}
-		p.sw.ledger.Report(p.sw.dropHop, reason, 1)
-		f.Release()
+		p.sw.ledger.Report(p.sw.dropHop, reason, n)
+		t.Release()
 		return
 	}
-	p.queue.Push(queued{f: f, earliest: earliest})
-	p.queueFrames++
+	p.queue.Push(queued{run: t, earliest: earliest})
+	p.queueFrames += t.Len()
 	p.trySend()
 }
 
-// trySend starts serialising the head of the egress queue when the MAC
-// is free.
+// trySend starts serialising the head entry of the egress queue when the
+// MAC is free: one link call and one completion event per entry, with
+// per-frame counters and hop stamps.
 //
 //lint:hotpath
 func (p *Port) trySend() {
@@ -804,57 +725,26 @@ func (p *Port) trySend() {
 		return
 	}
 	q := p.queue.Pop()
-	if q.train != nil {
-		p.queueFrames -= q.train.Len()
-		p.sendTrain(q.train, q.earliest)
-		return
-	}
-	p.queueFrames--
-
+	t := q.run
+	p.queueFrames -= t.Len()
 	p.busy = true
-	end := p.link.TransmitAt(q.f, q.earliest)
+	rate := p.link.Rate
 	if id := p.sw.cfg.HopID; id != 0 {
-		q.f.Trace.Stamp(id, end)
-	}
-	p.egress.Add(wire.WireBytes(q.f.Size))
-	p.sw.forwarded.Add(wire.WireBytes(q.f.Size))
-	eventAt := end
-	if now := p.sw.Engine.Now(); eventAt < now {
-		eventAt = now
-	}
-	if p.txEv == nil {
-		//lint:ignore hotpathalloc one-time event creation per port; steady state reschedules
-		p.txEv = p.sw.Engine.Schedule(eventAt, p.txDone)
-	} else {
-		p.sw.Engine.Reschedule(p.txEv, eventAt)
-	}
-}
-
-// sendTrain transmits a coalesced uniform run back-to-back in one MAC
-// pass: one link call, one completion event, bulk counters, and
-// arithmetic per-frame hop stamps.
-func (p *Port) sendTrain(t *wire.Train, earliest sim.Time) {
-	n := t.Len()
-	wb := wire.WireBytes(t.Frames[0].Size)
-	ser := wire.SerializationTime(t.Frames[0].Size, p.link.Rate)
-	p.busy = true
-	end := p.link.TransmitTrain(t, earliest)
-	if id := p.sw.cfg.HopID; id != 0 && p.link.Peer != nil {
-		// The frames now belong to the link's in-flight entry, but this
-		// runs synchronously before the delivery event, so stamping their
-		// egress instants here matches the per-frame path (which also
-		// stamps after handing the frame to the link). Frame k's last bit
-		// leaves (n-1-k) slots before the train's end.
-		at := end.Add(-sim.Duration(n-1) * ser)
+		// Stamp each frame's egress instant — its last bit leaving — while
+		// the switch still owns it: the link serialises the run back to
+		// back from the later of earliest and its busy horizon.
+		at := max(q.earliest, p.link.BusyUntil())
 		for _, f := range t.Frames {
+			at = at.Add(wire.SerializationTime(f.Size, rate))
 			f.Trace.Stamp(id, at)
-			at = at.Add(ser)
 		}
 	}
-	for i := 0; i < n; i++ {
+	for _, f := range t.Frames {
+		wb := wire.WireBytes(f.Size)
 		p.egress.Add(wb)
 		p.sw.forwarded.Add(wb)
 	}
+	end := p.link.Transmit(t, q.earliest)
 	eventAt := end
 	if now := p.sw.Engine.Now(); eventAt < now {
 		eventAt = now

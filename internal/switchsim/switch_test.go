@@ -52,7 +52,7 @@ func newTopo(t *testing.T, cfg Config, hosts int) *topo {
 	return tp
 }
 
-func (tp *topo) send(host int, f *wire.Frame) { tp.hosts[host].Port(0).Enqueue(f) }
+func (tp *topo) send(host int, f *wire.Frame) { tp.hosts[host].Port(0).Enqueue(f.Train()) }
 
 func TestFloodThenLearn(t *testing.T) {
 	tp := newTopo(t, Config{}, 3)
@@ -189,7 +189,7 @@ func TestLatencyGrowsWithLoad(t *testing.T) {
 		sw.Port(1).SetLink(bIn)
 
 		// Pre-teach the FDB.
-		cardB.Port(0).Enqueue(udpFrame(macB, macA, 64))
+		cardB.Port(0).Enqueue(udpFrame(macB, macA, 64).Train())
 		e.Run()
 
 		var sum float64
@@ -239,7 +239,7 @@ func TestEgressContentionQueues(t *testing.T) {
 		cards = append(cards, card)
 	}
 	// Teach the receiver's MAC.
-	cards[2].Port(0).Enqueue(udpFrame(macC, macA, 64))
+	cards[2].Port(0).Enqueue(udpFrame(macC, macA, 64).Train())
 	e.Run()
 
 	mk := func(i int, srcMAC packet.MAC) *gen.Generator {
@@ -279,7 +279,7 @@ func TestLookupQueueOverflow(t *testing.T) {
 	sw.Port(0).SetLink(in)
 	sw.Port(1).SetLink(wire.NewLink(e, wire.Rate10G, 0, nil))
 	for i := 0; i < 20; i++ {
-		card.Port(0).Enqueue(udpFrame(macA, macB, 64))
+		card.Port(0).Enqueue(udpFrame(macA, macB, 64).Train())
 	}
 	e.RunUntil(sim.Time(sim.Millisecond))
 	if sw.LookupDrops() == 0 {
@@ -294,7 +294,7 @@ func TestRuntFrameDropped(t *testing.T) {
 	got := 0
 	sw.Port(0).SetLink(wire.NewLink(e, wire.Rate10G, 0, nil))
 	l := wire.NewLink(e, wire.Rate10G, 0, sw.Port(0))
-	l.Transmit(&wire.Frame{Data: make([]byte, 8), Size: 12})
+	l.Transmit((&wire.Frame{Data: make([]byte, 8), Size: 12}).Train(), l.Engine.Now())
 	e.Run()
 	if got != 0 || sw.Forwarded().Packets != 0 {
 		t.Fatal("runt frame forwarded")
@@ -318,12 +318,12 @@ func BenchmarkSwitchForwarding(b *testing.B) {
 	bOut, bIn := wire.Connect(e, wire.Rate10G, 0, cardB.Port(0), sw.Port(1))
 	cardB.Port(0).SetLink(bOut)
 	sw.Port(1).SetLink(bIn)
-	cardB.Port(0).Enqueue(udpFrame(macB, macA, 64))
+	cardB.Port(0).Enqueue(udpFrame(macB, macA, 64).Train())
 	e.Run()
 	f := udpFrame(macA, macB, 512)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cardA.Port(0).Enqueue(f.Clone())
+		cardA.Port(0).Enqueue(f.Clone().Train())
 		for e.Step() {
 		}
 	}
@@ -477,8 +477,8 @@ func TestRuntDropCountedAndAttributed(t *testing.T) {
 	sw.Port(0).SetLink(wire.NewLink(e, wire.Rate10G, 0, nil))
 	sw.Port(1).SetLink(wire.NewLink(e, wire.Rate10G, 0, nil))
 	l := wire.NewLink(e, wire.Rate10G, 0, sw.Port(0))
-	l.Transmit(&wire.Frame{Data: make([]byte, 8), Size: 12})
-	l.Transmit(udpFrame(macA, macB, 64)) // a parseable frame is not a runt
+	l.Transmit((&wire.Frame{Data: make([]byte, 8), Size: 12}).Train(), l.Engine.Now())
+	l.Transmit(udpFrame(macA, macB, 64).Train(), l.Engine.Now()) // a parseable frame is not a runt
 	e.Run()
 	if got := sw.RuntDrops(); got != 1 {
 		t.Fatalf("RuntDrops = %d, want 1", got)
@@ -534,7 +534,7 @@ func TestDropReasonClassifiesRateBoundary(t *testing.T) {
 	sw.Port(1).SetLink(wire.NewLink(e, wire.Rate10G, 0, &sink))
 	in := wire.NewLink(e, wire.Rate40G, 0, sw.Port(0))
 	for i := 0; i < 64; i++ {
-		in.Transmit(udpFrame(macA, macB, 512))
+		in.Transmit(udpFrame(macA, macB, 512).Train(), in.Engine.Now())
 	}
 	e.Run()
 	rb := ledger.Count(hop, wire.DropRateBoundary)
@@ -690,5 +690,36 @@ func TestGroupHairpinDropped(t *testing.T) {
 	}
 	if got := ledger.Count(hop, wire.DropHairpin); got != 8 {
 		t.Fatalf("ledger hairpins = %d, want 8", got)
+	}
+}
+
+// TestQueueDepthCountsTrainFrames queues a uniform train behind a busy
+// egress: the run waits as one coalesced FIFO entry, and QueueDepth must
+// still report its frames, not the entry.
+func TestQueueDepthCountsTrainFrames(t *testing.T) {
+	e := sim.NewEngine()
+	sw := New(e, Config{Ports: 2, LookupPerPacket: sim.Nanosecond, LookupPerByte: sim.Picoseconds(10)})
+	sw.Learn(macB, 1)
+	var sink wire.EndpointFunc = func(f *wire.Frame, _, _ sim.Time) { f.Release() }
+	sw.Port(1).SetLink(wire.NewLink(e, wire.Rate10G, 0, sink))
+	in := wire.NewLink(e, wire.Rate10G, 0, sw.Port(0))
+
+	// A jumbo-sized frame busies the egress for ~1.2 µs; the 64 B train
+	// right behind it clears the lookup while that frame still serialises.
+	in.Transmit(udpFrame(macA, macB, 1518).Train(), 0)
+	const n = 8
+	tr := &wire.Train{Uniform: true}
+	for i := 0; i < n; i++ {
+		tr.Frames = append(tr.Frames, udpFrame(macA, macB, 64))
+	}
+	in.Transmit(tr, 0)
+
+	e.RunUntil(sim.Time(2 * sim.Microsecond))
+	if got := sw.Port(1).QueueDepth(); got != n {
+		t.Fatalf("QueueDepth = %d with a %d-frame train queued, want %d", got, n, n)
+	}
+	e.Run()
+	if got := sw.Port(1).Egress().Packets; got != n+1 {
+		t.Fatalf("egress forwarded %d frames, want %d", got, n+1)
 	}
 }

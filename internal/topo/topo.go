@@ -880,15 +880,9 @@ type Sink struct {
 	received stats.Counter
 }
 
-// Receive implements wire.Endpoint.
-func (s *Sink) Receive(f *wire.Frame, _, _ sim.Time) {
-	s.received.Add(wire.WireBytes(f.Size))
-	f.Release()
-}
-
-// ReceiveTrain implements wire.TrainEndpoint: one delivery event counts
-// and releases the whole run.
-func (s *Sink) ReceiveTrain(t *wire.Train, _, _ sim.Time) {
+// Receive implements wire.Endpoint: one delivery event counts and
+// releases the whole run.
+func (s *Sink) Receive(t *wire.Train, _, _ sim.Time) {
 	for _, f := range t.Frames {
 		s.received.Add(wire.WireBytes(f.Size))
 	}

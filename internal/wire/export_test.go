@@ -8,28 +8,15 @@ import (
 
 // captureExporter records what the boundary link hands over.
 type captureExporter struct {
-	frames []struct {
-		size              int
-		firstBit, lastBit sim.Time
-		key               uint64
-	}
-	trains []struct {
+	runs []struct {
 		n                 int
 		firstBit, lastBit sim.Time
 		key               uint64
 	}
 }
 
-func (c *captureExporter) ExportFrame(f *Frame, firstBit, lastBit sim.Time, key uint64) {
-	c.frames = append(c.frames, struct {
-		size              int
-		firstBit, lastBit sim.Time
-		key               uint64
-	}{f.Size, firstBit, lastBit, key})
-}
-
-func (c *captureExporter) ExportTrain(t *Train, firstBit, lastBit sim.Time, key uint64) {
-	c.trains = append(c.trains, struct {
+func (c *captureExporter) Export(t *Train, firstBit, lastBit sim.Time, key uint64) {
+	c.runs = append(c.runs, struct {
 		n                 int
 		firstBit, lastBit sim.Time
 		key               uint64
@@ -59,22 +46,22 @@ func TestExportLinkMirrorsLocalDelivery(t *testing.T) {
 	local := NewLink(le, Rate10G, delay, EndpointFunc(func(f *Frame, start, at sim.Time) {
 		refStart, refEnd = start, at
 	}))
-	localTx := local.Transmit(NewFrame(make([]byte, 60)))
+	localTx := local.Transmit(NewFrame(make([]byte, 60)).Train(), local.Engine.Now())
 	le.Run()
 
 	// Boundary link, same wire parameters.
 	ee := sim.NewEngine()
 	exp := &captureExporter{}
 	bl := NewExportLink(ee, Rate10G, delay, exp)
-	exportTx := bl.Transmit(NewFrame(make([]byte, 60)))
+	exportTx := bl.Transmit(NewFrame(make([]byte, 60)).Train(), bl.Engine.Now())
 
 	if exportTx != localTx {
 		t.Fatalf("serialization end: export %v, local %v", exportTx, localTx)
 	}
-	if len(exp.frames) != 1 {
-		t.Fatalf("exporter saw %d frames, want 1", len(exp.frames))
+	if len(exp.runs) != 1 || exp.runs[0].n != 1 {
+		t.Fatalf("exporter saw %d runs, want 1 run of one frame", len(exp.runs))
 	}
-	got := exp.frames[0]
+	got := exp.runs[0]
 	if got.firstBit != refStart || got.lastBit != refEnd {
 		t.Fatalf("exported instants (%v, %v) != local delivery (%v, %v)",
 			got.firstBit, got.lastBit, refStart, refEnd)
@@ -101,12 +88,12 @@ func TestExportLinkCarriesDeliveryKey(t *testing.T) {
 	if l.DeliveryKey() != sim.PrioDefault {
 		t.Fatalf("fresh export link key = %d, want PrioDefault", l.DeliveryKey())
 	}
-	l.Transmit(NewFrame(make([]byte, 60)))
+	l.Transmit(NewFrame(make([]byte, 60)).Train(), l.Engine.Now())
 	l.SetDeliveryKey(42)
-	l.TransmitAt(NewFrame(make([]byte, 60)), l.BusyUntil())
-	if exp.frames[0].key != sim.PrioDefault || exp.frames[1].key != 42 {
+	l.Transmit(NewFrame(make([]byte, 60)).Train(), l.BusyUntil())
+	if exp.runs[0].key != sim.PrioDefault || exp.runs[1].key != 42 {
 		t.Fatalf("exported keys %d, %d; want PrioDefault then 42",
-			exp.frames[0].key, exp.frames[1].key)
+			exp.runs[0].key, exp.runs[1].key)
 	}
 }
 
@@ -120,12 +107,11 @@ func TestExportTrainKeepsTheRunWhole(t *testing.T) {
 	l := NewExportLink(e, Rate10G, delay, exp)
 	l.SetDeliveryKey(7)
 	tr := &Train{Frames: trainFrames(60, 1514, 124)}
-	l.TransmitTrain(tr, 0)
-	if len(exp.trains) != 1 || len(exp.frames) != 0 {
-		t.Fatalf("exporter saw %d trains / %d frames, want one whole train",
-			len(exp.trains), len(exp.frames))
+	l.Transmit(tr, 0)
+	if len(exp.runs) != 1 {
+		t.Fatalf("exporter saw %d runs, want one whole train", len(exp.runs))
 	}
-	got := exp.trains[0]
+	got := exp.runs[0]
 	first := SerializationTime(64, Rate10G)
 	if got.n != 3 || got.key != 7 {
 		t.Fatalf("exported train n=%d key=%d, want n=3 key=7", got.n, got.key)
@@ -139,9 +125,9 @@ func TestExportTrainKeepsTheRunWhole(t *testing.T) {
 	}
 }
 
-// TestDeliverTrainUnbundlesPerFrame checks the replay helper the shard
-// barrier uses: handed a train and a per-frame endpoint, it recovers
-// each frame's abutting (firstBit, lastBit) window arithmetically.
+// TestDeliverTrainUnbundlesPerFrame checks the per-frame endpoint
+// adapter: handed a train, EndpointFunc recovers each frame's abutting
+// (firstBit, lastBit) window arithmetically.
 func TestDeliverTrainUnbundlesPerFrame(t *testing.T) {
 	var got []struct{ start, at sim.Time }
 	peer := EndpointFunc(func(f *Frame, start, at sim.Time) {
@@ -150,7 +136,7 @@ func TestDeliverTrainUnbundlesPerFrame(t *testing.T) {
 	tr := &Train{Frames: trainFrames(60, 1514), Rate: Rate10G}
 	s0, s1 := SerializationTime(64, Rate10G), SerializationTime(1518, Rate10G)
 	start := sim.Time(1000)
-	DeliverTrain(peer, tr, start, start.Add(s0))
+	peer.Receive(tr, start, start.Add(s0))
 	if len(got) != 2 {
 		t.Fatalf("delivered %d frames, want 2", len(got))
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"testing"
+	"unsafe"
 
 	"osnt/internal/sim"
 )
@@ -22,10 +23,10 @@ type delivery struct {
 }
 
 // TestTransmitTrainMatchesPerFrame is the wire-level exactness contract:
-// a mixed-size train delivered through the per-frame fallback must
-// produce byte-for-byte the same (size, first-bit, last-bit) tuples, the
-// same return value and the same link counters as the equivalent
-// sequence of TransmitAt calls — while occupying one in-flight entry
+// a mixed-size train walked by a per-frame endpoint must produce
+// byte-for-byte the same (size, first-bit, last-bit) tuples, the same
+// return value and the same link counters as the equivalent sequence of
+// single-frame transmissions — while occupying one in-flight entry
 // instead of N.
 func TestTransmitTrainMatchesPerFrame(t *testing.T) {
 	lens := []int{60, 1514, 124, 508}
@@ -37,10 +38,10 @@ func TestTransmitTrainMatchesPerFrame(t *testing.T) {
 		l := NewLink(e, Rate10G, 30*sim.Nanosecond, sink)
 		if asTrain {
 			tr := &Train{Frames: trainFrames(lens...)}
-			end = l.TransmitTrain(tr, 0)
+			end = l.Transmit(tr, 0)
 		} else {
 			for _, f := range trainFrames(lens...) {
-				end = l.TransmitAt(f, 0)
+				end = l.Transmit(f.Train(), 0)
 			}
 		}
 		inflight = l.InFlight()
@@ -69,27 +70,23 @@ func TestTransmitTrainMatchesPerFrame(t *testing.T) {
 	}
 }
 
-// trainSink records whole-train deliveries.
+// trainSink records whole-run deliveries.
 type trainSink struct {
 	trains []*Train
 	starts []sim.Time
 	ats    []sim.Time
-	frames int
 }
 
-func (s *trainSink) Receive(f *Frame, start, at sim.Time) { s.frames++ }
-
-func (s *trainSink) ReceiveTrain(t *Train, start, at sim.Time) {
+func (s *trainSink) Receive(t *Train, start, at sim.Time) {
 	s.trains = append(s.trains, t)
 	s.starts = append(s.starts, start)
 	s.ats = append(s.ats, at)
 }
 
-// TestTransmitTrainToTrainEndpoint checks the batch-aware delivery: a
-// peer implementing TrainEndpoint gets the whole run in one call whose
-// start/at are the FIRST frame's first-bit and last-bit instants
-// (propagation delay included), with the train stamped with the link
-// rate the boundaries derive from.
+// TestTransmitTrainToTrainEndpoint checks run delivery: the peer gets
+// the whole run in one Receive call whose start/at are the FIRST frame's
+// first-bit and last-bit instants (propagation delay included), with the
+// train stamped with the link rate the boundaries derive from.
 func TestTransmitTrainToTrainEndpoint(t *testing.T) {
 	e := sim.NewEngine()
 	sink := &trainSink{}
@@ -99,11 +96,11 @@ func TestTransmitTrainToTrainEndpoint(t *testing.T) {
 	tr := &Train{Frames: trainFrames(60, 60, 1514), Rate: Rate40G}
 	span := tr.Span()
 	const earliest = sim.Time(1000)
-	end := l.TransmitTrain(tr, earliest)
+	end := l.Transmit(tr, earliest)
 	e.Run()
 
-	if len(sink.trains) != 1 || sink.frames != 0 {
-		t.Fatalf("got %d train deliveries and %d per-frame deliveries, want 1 and 0", len(sink.trains), sink.frames)
+	if len(sink.trains) != 1 {
+		t.Fatalf("got %d run deliveries, want 1", len(sink.trains))
 	}
 	if got := sink.trains[0]; got.Len() != 3 || got.Rate != Rate40G {
 		t.Errorf("delivered train: %d frames at rate %v", got.Len(), got.Rate)
@@ -120,28 +117,25 @@ func TestTransmitTrainToTrainEndpoint(t *testing.T) {
 	}
 }
 
-// TestTransmitTrainOfOneDegrades checks that a train of one takes the
-// plain per-frame path: an ordinary Receive with TransmitAt's exact
-// arithmetic, no ReceiveTrain call.
+// TestTransmitTrainOfOneDegrades checks that a frame's run-of-one view
+// crosses the link with the exact single-frame arithmetic and arrives as
+// the same view of the same frame, with no container involved.
 func TestTransmitTrainOfOneDegrades(t *testing.T) {
 	e := sim.NewEngine()
-	var got []delivery
-	sink := EndpointFunc(func(f *Frame, start, at sim.Time) {
-		got = append(got, delivery{f.Size, start, at})
-	})
+	sink := &trainSink{}
 	l := NewLink(e, Rate10G, 0, sink)
-	tr := &Train{Frames: trainFrames(60)}
-	end := l.TransmitTrain(tr, 0)
+	f := NewFrame(make([]byte, 60))
+	end := l.Transmit(f.Train(), 0)
 	e.Run()
 	ser := SerializationTime(64, Rate10G)
 	if end != sim.Time(0).Add(ser) {
 		t.Errorf("end = %v, want %v", end, ser)
 	}
-	if len(got) != 1 || got[0] != (delivery{64, 0, sim.Time(0).Add(ser)}) {
-		t.Errorf("deliveries = %+v", got)
+	if len(sink.trains) != 1 || sink.starts[0] != 0 || sink.ats[0] != sim.Time(0).Add(ser) {
+		t.Fatalf("deliveries = %d at %v/%v", len(sink.trains), sink.starts, sink.ats)
 	}
-	if len(tr.Frames) != 0 {
-		t.Errorf("degraded train still holds %d frames", len(tr.Frames))
+	if got := sink.trains[0]; got != &f.one || got.Len() != 1 || got.Frames[0] != f || !got.Uniform {
+		t.Errorf("delivered run %+v is not the frame's own run of one", got)
 	}
 }
 
@@ -162,7 +156,7 @@ func TestTransmitTrainUnterminated(t *testing.T) {
 	}
 	tr.Rate = Rate10G
 	span := tr.Span()
-	end := l.TransmitTrain(tr, 0)
+	end := l.Transmit(tr, 0)
 	e.Run()
 
 	if end != sim.Time(0).Add(span) {
@@ -195,9 +189,9 @@ func TestTransmitTrainBusyChaining(t *testing.T) {
 	l := NewLink(e, Rate10G, 0, sink)
 	ser := SerializationTime(64, Rate10G)
 
-	single := l.TransmitAt(NewFrame(make([]byte, 60)), 0)
+	single := l.Transmit(NewFrame(make([]byte, 60)).Train(), 0)
 	tr := &Train{Frames: trainFrames(60, 60)}
-	end := l.TransmitTrain(tr, 0) // wants 0, must clamp to the single's end
+	end := l.Transmit(tr, 0) // wants 0, must clamp to the single's end
 	e.Run()
 
 	if want := single.Add(2 * ser); end != want {
@@ -211,5 +205,38 @@ func TestTransmitTrainBusyChaining(t *testing.T) {
 		if want := (delivery{64, fb, fb.Add(ser)}); d != want {
 			t.Errorf("frame %d: %+v, want %+v", i, d, want)
 		}
+	}
+}
+
+// TestRunOfOneReleasesItsFrame checks the view's ownership contract: a
+// frame handed on as its run of one is consumed exactly once, whether the
+// consumer releases the run or takes the frame out of it.
+func TestRunOfOneReleasesItsFrame(t *testing.T) {
+	pool := NewPool()
+	pool.Get(60).Train().Release()
+	f := pool.Get(60)
+	run := f.Train()
+	if got := run.Take(0); got != f || run.Len() != 0 {
+		t.Fatalf("Take(0) = %p (run now %d frames), want the frame itself and an empty run", got, run.Len())
+	}
+	f.Release()
+	if _, puts, _ := pool.Stats(); puts != 2 {
+		t.Fatalf("pool releases = %d, want 2", puts)
+	}
+}
+
+// TestFrameFillsItsSizeClass pins Frame to the 256-byte allocation
+// class: its objects are 64-byte aligned, which keeps the fields a hop
+// reads through the run-of-one view on one cache line. A field added to
+// Frame must come out of the padding.
+func TestFrameFillsItsSizeClass(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout is tuned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Frame{}); got != 256 {
+		t.Fatalf("sizeof(Frame) = %d, want 256", got)
+	}
+	if end := unsafe.Offsetof(Frame{}.one) + unsafe.Sizeof([]*Frame(nil)); end > 64 {
+		t.Fatalf("Data, Size, self and one.Frames end at byte %d, want ≤ 64", end)
 	}
 }

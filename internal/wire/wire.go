@@ -1,9 +1,13 @@
 // Package wire defines the physical-layer vocabulary shared by every
 // simulated device: Ethernet frames, port endpoints, and point-to-point
-// links with serialization and propagation delay. The arithmetic here is
-// what makes "full line-rate regardless of packet size" a checkable
-// property rather than a claim: a 10GBASE-R MAC can emit one 64-byte frame
-// every 67.2 ns and no simulated component is allowed to beat that.
+// links with serialization and propagation delay. Devices hand each
+// other runs of back-to-back frames (Train) — a link transmits a run, an
+// endpoint receives one — and a single frame is simply a run of one
+// (Frame.Train), so every hand-off has exactly one path. The arithmetic
+// here is what makes "full line-rate regardless of packet size" a
+// checkable property rather than a claim: a 10GBASE-R MAC can emit one
+// 64-byte frame every 67.2 ns and no simulated component is allowed to
+// beat that.
 package wire
 
 import (
@@ -99,8 +103,10 @@ type Hop struct {
 // by hop instead of only end to end. Held by value inside Frame, so
 // stamping and copying never allocate.
 type HopTrace struct {
-	stamps [MaxHops]Hop
+	// n leads so that it shares a cache line with the first stamps, which
+	// short paths fill.
 	n      int
+	stamps [MaxHops]Hop
 }
 
 // Stamp appends one hop; beyond MaxHops it is dropped.
@@ -127,6 +133,11 @@ func (t *HopTrace) Reset() { t.n = 0 }
 type Frame struct {
 	Data []byte
 	Size int // FCS-inclusive original frame size
+
+	// self and one back the frame's run-of-one view (see Frame.Train).
+	self [1]*Frame
+	one  Train
+
 	// SrcPort is an opaque tag devices may use to remember ingress.
 	SrcPort int
 	// Trace accumulates per-hop egress timestamps as the frame crosses
@@ -135,6 +146,11 @@ type Frame struct {
 
 	// pool, when non-nil, is where Release returns this frame.
 	pool *Pool
+
+	// The padding rounds Frame up to the 256-byte allocation class, whose
+	// objects are 64-byte aligned, so the fields a hop reads through the
+	// view — Data, Size, self and one.Frames — share one cache line.
+	_ [2]uint64
 }
 
 // NewFrame wraps data (header..payload, no FCS) as a full-length frame.
@@ -175,20 +191,34 @@ func (f *Frame) Release() {
 	}
 }
 
-// Endpoint is anything that can accept a frame from a link: a card's RX
+// Endpoint is anything that can accept frames from a link: a card's RX
 // MAC, a switch port, a host NIC.
 type Endpoint interface {
-	// Receive delivers a frame whose last bit arrived at instant at.
-	// start is the instant the first bit arrived, which cut-through
-	// devices use to begin forwarding before at.
-	Receive(f *Frame, start, at sim.Time)
+	// Receive delivers a run of back-to-back frames (a single frame is a
+	// run of one) and hands the endpoint its ownership. start and at are
+	// the instants the first frame's first and last bits arrived —
+	// cut-through devices use start to begin forwarding before at — and
+	// every later frame's window follows arithmetically at t.Rate: frame
+	// k's first bit arrives the instant frame k-1's last bit did.
+	Receive(t *Train, start, at sim.Time)
 }
 
-// EndpointFunc adapts a function to the Endpoint interface.
+// EndpointFunc adapts a per-frame function to the Endpoint interface:
+// each frame of a delivered run is passed on in order with its own
+// first-bit and last-bit instants.
 type EndpointFunc func(f *Frame, start, at sim.Time)
 
 // Receive implements Endpoint.
-func (fn EndpointFunc) Receive(f *Frame, start, at sim.Time) { fn(f, start, at) }
+func (fn EndpointFunc) Receive(t *Train, start, at sim.Time) {
+	rate := t.Rate
+	for i := range t.Frames {
+		f := t.Take(i)
+		if i > 0 {
+			start, at = at, at.Add(SerializationTime(f.Size, rate))
+		}
+		fn(f, start, at)
+	}
+}
 
 // Link is a unidirectional point-to-point fibre at a fixed rate with a
 // propagation delay. Transmit models the sending MAC: it serialises the
@@ -233,18 +263,16 @@ type Link struct {
 	deliverEv *sim.Event
 }
 
-// inflight is one frame — or one whole frame train — in flight on the
-// link, held by value in the pending FIFO. For a train, firstBit/lastBit
-// are the first frame's window; the rest follow arithmetically.
+// inflight is one run in flight on the link, held by value in the
+// pending FIFO. firstBit/lastBit are the first frame's window; the rest
+// follow arithmetically.
 type inflight struct {
-	f                 *Frame
-	train             *Train // non-nil: a coalesced run, f unused
+	t                 *Train
 	firstBit, lastBit sim.Time
 }
 
-// deliver is the single delivery-event callback: it hands the head entry
-// (one frame, or one whole train) to the peer and re-arms for the next
-// pending entry, if any.
+// deliver is the single delivery-event callback: it hands the head run
+// to the peer and re-arms for the next pending entry, if any.
 //
 //lint:hotpath
 func (l *Link) deliver() {
@@ -260,11 +288,7 @@ func (l *Link) deliver() {
 		}
 		l.Engine.ReschedulePrio(l.deliverEv, eventAt, l.deliverPrio)
 	}
-	if d.train == nil {
-		l.Peer.Receive(d.f, d.firstBit, d.lastBit)
-		return
-	}
-	DeliverTrain(l.Peer, d.train, d.firstBit, d.lastBit)
+	l.Peer.Receive(d.t, d.firstBit, d.lastBit)
 }
 
 // NewLink builds a link on engine e at rate r with propagation delay d,
@@ -273,53 +297,58 @@ func NewLink(e *sim.Engine, r Rate, d sim.Duration, peer Endpoint) *Link {
 	return &Link{Engine: e, Rate: r, Delay: d, Peer: peer, deliverPrio: sim.PrioDefault}
 }
 
-// Transmit queues the frame for serialisation at the earliest instant the
-// link is free and returns the time the last bit leaves the sender. The
-// frame is delivered to the peer (if any) after the propagation delay.
+// Transmit serialises the run t starting no earlier than instant
+// earliest (and no earlier than the link is free) and returns the
+// instant the last bit of its last frame leaves the sender. The frames
+// depart back to back, each start clamped by the busy horizon exactly as
+// one transmission per frame would be, but the run occupies a single
+// in-flight entry and a single delivery event; it reaches the peer (if
+// any) after the propagation delay. earliest may lie in the past
+// relative to the engine clock: cut-through devices use that to model
+// serialisation that began while the frame was still arriving. The
+// returned instants are exact, and the delivery event is clamped to the
+// present so causality in the event queue is preserved. Ownership of
+// the run passes to the link.
 //
 //lint:hotpath
-func (l *Link) Transmit(f *Frame) sim.Time {
-	return l.TransmitAt(f, l.Engine.Now())
-}
-
-// TransmitAt is Transmit with an explicit earliest start instant, which
-// may lie in the past relative to the engine clock. Cut-through devices
-// use this to model serialisation that conceptually began while the frame
-// was still arriving: the returned last-bit time is exact, and the
-// delivery event is clamped to the present so causality in the event
-// queue is preserved.
-//
-//lint:hotpath
-func (l *Link) TransmitAt(f *Frame, earliest sim.Time) sim.Time {
+func (l *Link) Transmit(t *Train, earliest sim.Time) sim.Time {
 	start := earliest
 	if l.busyUntil > start {
 		start = l.busyUntil
 	}
-	end := start.Add(SerializationTime(f.Size, l.Rate))
+	firstEnd := start.Add(SerializationTime(t.Frames[0].Size, l.Rate))
+	end := firstEnd
+	l.txBytes += uint64(WireBytes(t.Frames[0].Size))
+	for _, f := range t.Frames[1:] {
+		end = end.Add(SerializationTime(f.Size, l.Rate))
+		l.txBytes += uint64(WireBytes(f.Size))
+	}
 	l.busyUntil = end
-	l.txFrames++
-	l.txBytes += uint64(WireBytes(f.Size))
+	n := uint64(len(t.Frames))
+	l.txFrames += n
+	t.Rate = l.Rate
+	// The in-flight window is the FIRST frame's: the receiver walks the
+	// later frames' boundaries arithmetically.
+	firstBit, lastBit := start.Add(l.Delay), firstEnd.Add(l.Delay)
 	if l.exporter != nil {
-		// Boundary link: ownership of the frame transfers with the call;
+		// Boundary link: ownership of the run transfers with the call;
 		// the destination shard replays it at the computed instants under
 		// this link's delivery key, so it lands in exactly the heap
 		// position a local delivery event would occupy.
-		l.exporter.ExportFrame(f, start.Add(l.Delay), end.Add(l.Delay), l.deliverPrio)
+		l.exporter.Export(t, firstBit, lastBit, l.deliverPrio)
 		return end
 	}
 	if l.Peer == nil {
-		// Unterminated link: the frame occupies the wire but nobody
-		// receives it. Account the loss and recycle the frame.
-		l.drops++
-		l.ledger.Report(l.hop, DropUnterminated, 1)
-		f.Release()
+		// Unterminated link: the frames occupy the wire but nobody
+		// receives them. Account the loss and recycle the frames.
+		l.drops += n
+		l.ledger.Report(l.hop, DropUnterminated, n)
+		t.Release()
 		return end
 	}
-	firstBit := start.Add(l.Delay)
-	lastBit := end.Add(l.Delay)
-	l.pending.Push(inflight{f: f, firstBit: firstBit, lastBit: lastBit})
-	// Frames joining a burst ride the already-armed event; only the
-	// first frame of a burst arms it.
+	l.pending.Push(inflight{t: t, firstBit: firstBit, lastBit: lastBit})
+	// Runs joining a burst ride the already-armed event; only the first
+	// run of a burst arms it.
 	if l.pending.Len() == 1 {
 		eventAt := lastBit
 		if now := l.Engine.Now(); eventAt < now {
@@ -355,7 +384,7 @@ func (l *Link) SetDropSite(ledger *DropLedger, hop int) {
 // Drops returns frames lost to an unterminated link (no peer).
 func (l *Link) Drops() uint64 { return l.drops }
 
-// InFlight returns the number of frames serialised but not yet delivered
+// InFlight returns the number of runs serialised but not yet delivered
 // to the peer. However deep the burst, it is drained by a single pending
 // engine event.
 func (l *Link) InFlight() int { return l.pending.Len() }
