@@ -114,9 +114,8 @@ func checksumDriver() {
 }
 
 // engineChurnDriver is the in-process twin of BenchmarkEngineChurn:
-// schedule/fire churn against a one-million-pending event heap, every
-// fired event re-arming itself so the heap depth — and therefore the
-// sift cost the inlined pointer heap is optimising — stays constant.
+// schedule/fire churn against a one-million-pending event queue, every
+// fired event re-arming itself so the queue depth stays constant.
 func engineChurnDriver() {
 	const (
 		pending = 1 << 20

@@ -18,7 +18,7 @@ import (
 //
 // Merge is that k-way merge, streaming and allocation-free at steady
 // state. It takes over every queue's sink, buffers each queue's
-// deliveries in a head-indexed FIFO, and emits records in ascending
+// deliveries in a circular FIFO (ring.FIFO), and emits records in ascending
 // (TS, Queue, Seq) key order — timestamp first, then queue index, then
 // per-queue admission sequence, so equal hardware timestamps across
 // queues break ties identically at any queue count and on any engine

@@ -272,9 +272,9 @@ type Port struct {
 
 	link *wire.Link
 	// queue is the egress FIFO of runs (a single frame is a run of one;
-	// queueFrames counts the frames): head-indexed with a recycled
-	// backing array, drained by one reusable event per port, so
-	// steady-state egress queueing allocates nothing per packet.
+	// queueFrames counts the frames): a circular buffer reused across
+	// packets, drained by one reusable event per port, so steady-state
+	// egress queueing allocates nothing per packet.
 	queue       ring.FIFO[*wire.Train]
 	queueFrames int
 	busy        bool

@@ -29,8 +29,8 @@ func TestFIFOOrder(t *testing.T) {
 func TestFIFOInterleaved(t *testing.T) {
 	var r FIFO[int]
 	next, want := 0, 0
-	// Interleave pushes and pops with a persistent backlog so the
-	// compaction path (head ≥ 64, dead prefix ≥ half) is exercised.
+	// Interleave pushes and pops with a persistent backlog so the head
+	// wraps around the backing array and the queue grows while wrapped.
 	for round := 0; round < 200; round++ {
 		for i := 0; i < 3; i++ {
 			r.Push(next)
@@ -114,7 +114,9 @@ func TestFIFOBulkOrder(t *testing.T) {
 	}
 }
 
-// PopN must zero vacated slots and compact exactly like N single Pops.
+// PopN must zero vacated slots like N single Pops, order must survive
+// wraparound and growth, and under steady push/pop the backing array
+// must stay compact: never more than twice the peak occupancy.
 func TestFIFOBulkClearsAndCompacts(t *testing.T) {
 	var r FIFO[*int]
 	v := 7
@@ -131,19 +133,64 @@ func TestFIFOBulkClearsAndCompacts(t *testing.T) {
 		t.Fatal("tail element lost after PopN")
 	}
 
-	// A PopN that drains a ≥64-slot dead prefix must compact, same as Pop.
+	// Wraparound: a backlog that keeps its head moving forces pushes and
+	// bulk pops to split across the end of the backing array; growth
+	// happens while the queue is wrapped.
 	var q FIFO[int]
-	big := make([]int, 200)
-	for i := range big {
-		big[i] = i
+	next, want, peak := 0, 0, 0
+	out := make([]int, 64)
+	for round := 0; round < 2000; round++ {
+		push := 1 + round%7
+		if round < 300 {
+			push += 2 // ramp the backlog up, then hold it steady
+		}
+		batch := make([]int, push)
+		for i := range batch {
+			batch[i] = next
+			next++
+		}
+		if round%2 == 0 {
+			q.PushN(batch)
+		} else {
+			for _, x := range batch {
+				q.Push(x)
+			}
+		}
+		peak = max(peak, q.Len())
+		pop := min(q.Len(), 1+(round*5)%9)
+		q.PopN(out, pop)
+		for _, got := range out[:pop] {
+			if got != want {
+				t.Fatalf("round %d: popped %d, want %d", round, got, want)
+			}
+			want++
+		}
+		if c := len(q.buf); c > 2*peak && c > minCap {
+			t.Fatalf("round %d: capacity %d exceeds twice the peak occupancy %d", round, c, peak)
+		}
 	}
-	q.PushN(big)
-	q.PopN(make([]int, 100), 100)
-	if q.head != 0 {
-		t.Fatalf("PopN left head at %d, want compacted to 0", q.head)
+	for q.Len() > 0 {
+		if got := q.Pop(); got != want {
+			t.Fatalf("drain: popped %d, want %d", got, want)
+		}
+		want++
 	}
-	if got := q.Pop(); got != 100 {
-		t.Fatalf("post-compaction Pop = %d, want 100", got)
+	if want != next {
+		t.Fatalf("popped %d values, pushed %d", want, next)
+	}
+
+	// Popped slots are zeroed on both sides of a wrap.
+	var w FIFO[*int]
+	for i := 0; i < 3; i++ {
+		w.Push(&v)
+	}
+	w.PopN(dst, 2) // head now at slot 2 of 4
+	w.PushN(vs[:3])
+	w.PopN(make([]*int, 4), 4)
+	for i, p := range w.buf {
+		if p != nil {
+			t.Fatalf("slot %d still holds a pointer after a wrapped PopN", i)
+		}
 	}
 }
 
@@ -158,7 +205,7 @@ func TestFIFOBulkPopZero(t *testing.T) {
 
 // BenchmarkFIFOBulk pits PushN/PopN of 64-element trains against the
 // same traffic moved one element at a time: the bulk path amortises the
-// grow-check and the dead-prefix accounting across the batch.
+// grow-check and the index arithmetic across the batch.
 func BenchmarkFIFOBulk(b *testing.B) {
 	batch := make([]int, 64)
 	for i := range batch {

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 )
 
 // Event is a scheduled callback. It is returned by the Schedule family so
@@ -19,7 +21,7 @@ type Event struct {
 	prio   uint64
 	seq    uint64 // tie-break: FIFO among events at the same (at, prio)
 	fn     func()
-	index  int // heap index, -1 once popped or cancelled
+	queued bool
 	cancel bool
 }
 
@@ -39,151 +41,239 @@ func (ev *Event) Cancel() { ev.cancel = true }
 func (ev *Event) Cancelled() bool { return ev.cancel }
 
 // Pending reports whether the event is still in the queue waiting to
-// fire (a cancelled-but-unpopped event still counts as pending).
-func (ev *Event) Pending() bool { return ev.index != -1 }
+// fire (a cancelled event counts as pending until the queue discards
+// it).
+func (ev *Event) Pending() bool { return ev.queued }
 
-// The event queue is a 4-ary min-heap over (at, prio, seq): time first,
-// then explicit priority, then insertion sequence. Events scheduled
-// without a priority carry PrioDefault, so among themselves they fire in
-// FIFO order — deterministic ordering is essential: experiment results
-// must not depend on map or heap tie-breaking accidents. Explicit
-// priorities order same-instant events by a structural key of the
-// scenario (a delayed link's topology ordinal) instead of scheduling
-// history, which is what makes a partitioned run (internal/shard)
-// reproduce a single-engine run to the byte.
+// The event queue orders events by (at, prio, seq): time first, then
+// explicit priority, then insertion sequence. Events scheduled without a
+// priority carry PrioDefault, so among themselves they fire in FIFO
+// order — deterministic ordering is essential: experiment results must
+// not depend on map or queue tie-breaking accidents. Explicit priorities
+// order same-instant events by a structural key of the scenario (a
+// delayed link's topology ordinal) instead of scheduling history, which
+// is what makes a partitioned run (internal/shard) reproduce a
+// single-engine run to the byte.
 //
-// The heap is hand-inlined rather than built on container/heap: that
-// package moves every element through `any` and dispatches every
-// comparison through an interface table, which costs real time on a path
-// crossed once per scheduled event. Each heap entry additionally carries
-// the event's instant inline, so the sift loops decide the common
-// earlier/later case from contiguous slice memory and only dereference
-// two scattered Events on an exact-instant tie — at fat-tree queue
-// depths the pointer chase was the single hottest line in the whole
-// simulator. The heap is 4-ary rather than binary: a pop's sift-down
-// touches half the levels, and with 16-byte entries the four children it
-// scans per level sit in a single cache line, so the extra compares are
-// nearly free next to the misses they replace. The loops hole-shift: the
-// moving entry stays in registers while the others shift into the hole,
-// halving the stores of a swap-based sift.
+// The queue is a monotone radix queue. Virtual time never runs
+// backwards and nothing may be scheduled before Now, so every queued
+// instant is at least base, the instant the queue last re-based to
+// (never later than Now while anything is queued). Bucket b holds the
+// events whose instant first differs from base in bit b-1
+// (bits.Len64(at XOR base) == b): bucket 0 is the events at base itself,
+// kept as a small binary heap on (prio, seq), and higher buckets are
+// unordered slices. When bucket 0 runs dry the lowest non-empty bucket is
+// scanned for its earliest instant, base moves there, and that bucket's
+// entries fall into strictly lower buckets, so an event moves at most
+// once per bit of its distance from the present. A push is an append and
+// a pop usually takes bucket 0's only entry; the occasional re-base scans
+// one bucket's contiguous entries, where a heap sift would chase
+// pointers across a cache-cold array. Each entry carries its event's
+// instant inline, so only bucket 0's tie-breaks dereference Events.
+//
+// Peek and the RunUntil horizon check never move base past the present:
+// they read the lowest bucket's earliest instant (or only its lower
+// bound) without re-basing, so an event scheduled at Now after RunUntil
+// returns still has a valid bucket.
+//
+// Cancel is lazy: a cancelled event stays queued (and counts in Pending)
+// until the queue meets it — at the head, or while scanning its bucket —
+// and is then discarded without advancing the clock.
 
-// heapEntry is one queued event with its arrival instant denormalised
-// alongside the pointer: the sift loops and the RunUntil horizon check
-// read contiguous slice memory for the common earlier/later verdict and
-// only dereference the Events on an exact-instant tie (broken by prio,
-// then seq). The instant is authoritative while queued: Reprogram
-// rewrites the Event's fields and then re-keys the entry via fix.
-type heapEntry struct {
+// entry is one queued event with its instant denormalised alongside the
+// pointer. The instant is authoritative while queued: Reprogram takes
+// the entry out and re-inserts it under the new key.
+type entry struct {
 	at Time
 	ev *Event
 }
 
-// entryKey builds ev's heap entry from its current sort key.
-func entryKey(ev *Event) heapEntry {
-	return heapEntry{at: ev.at, ev: ev}
+// numBuckets covers every bit length of a non-negative Time difference.
+const numBuckets = 64
+
+// bucketSlab is the capacity NewEngine gives every bucket up front.
+const bucketSlab = 8
+
+// maxTime is the latest representable instant.
+const maxTime = Time(math.MaxInt64)
+
+// before0 orders bucket 0, whose entries all share one instant: lower
+// explicit priority first, then FIFO by insertion sequence.
+func before0(a, b *Event) bool {
+	if a.prio != b.prio {
+		return a.prio < b.prio
+	}
+	return a.seq < b.seq
 }
 
-// entryLess orders the heap: earlier instant first, then lower explicit
-// priority, then FIFO by insertion sequence.
-func entryLess(a, b *heapEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	ea, eb := a.ev, b.ev
-	if ea.prio != eb.prio {
-		return ea.prio < eb.prio
-	}
-	return ea.seq < eb.seq
-}
-
-// push appends ev to the queue and sifts it up to its heap position.
+// push queues ev under its current key.
 func (e *Engine) push(ev *Event) {
-	q := append(e.queue, entryKey(ev))
-	i := len(q) - 1
-	entry := q[i]
+	if e.n == 0 {
+		// An empty queue may be re-based freely; discarding cancelled
+		// events can leave base ahead of the clock.
+		e.base = e.now
+	}
+	e.n++
+	ev.queued = true
+	e.place(entry{at: ev.at, ev: ev})
+}
+
+// place files x into its bucket relative to the current base. Entries
+// do not record their position in the Events: a re-base moves entries
+// without touching the (cache-cold) Events they point to, and the rare
+// removal of a queued event searches its bucket instead.
+func (e *Engine) place(x entry) {
+	b := bits.Len64(uint64(x.at ^ e.base))
+	e.buckets[b] = append(e.buckets[b], x)
+	if b == 0 {
+		e.up0(len(e.buckets[0]) - 1)
+		return
+	}
+	e.mask |= 1 << b
+}
+
+// up0 sifts bucket 0's entry at i towards the root and returns where it
+// settled.
+func (e *Engine) up0(i int) int {
+	q := e.buckets[0]
+	x := q[i]
 	for i > 0 {
-		parent := (i - 1) / 4
-		if !entryLess(&entry, &q[parent]) {
+		parent := (i - 1) / 2
+		if !before0(x.ev, q[parent].ev) {
 			break
 		}
 		q[i] = q[parent]
-		q[i].ev.index = i
 		i = parent
 	}
-	q[i] = entry
-	entry.ev.index = i
-	e.queue = q
+	q[i] = x
+	return i
 }
 
-// pop removes and returns the minimum event, marking it popped.
-func (e *Engine) pop() *Event {
-	q := e.queue
-	min := q[0].ev
-	min.index = -1
-	n := len(q) - 1
-	last := q[n]
-	q[n].ev = nil
-	e.queue = q[:n]
-	if n > 0 {
-		e.siftDown(last, 0)
-	}
-	return min
-}
-
-// siftDown places entry at heap index i and sinks it until no child is
-// smaller.
-func (e *Engine) siftDown(entry heapEntry, i int) {
-	q := e.queue
+// down0 sinks bucket 0's entry at i until no child precedes it.
+func (e *Engine) down0(i int) {
+	q := e.buckets[0]
 	n := len(q)
+	x := q[i]
 	for {
-		c := 4*i + 1
+		c := 2*i + 1
 		if c >= n {
 			break
 		}
-		end := c + 4
-		if end > n {
-			end = n
+		if c+1 < n && before0(q[c+1].ev, q[c].ev) {
+			c++
 		}
-		m := c
-		for j := c + 1; j < end; j++ {
-			if entryLess(&q[j], &q[m]) {
-				m = j
-			}
-		}
-		if !entryLess(&q[m], &entry) {
+		if !before0(q[c].ev, x.ev) {
 			break
 		}
-		q[i] = q[m]
-		q[i].ev.index = i
-		i = m
+		q[i] = q[c]
+		i = c
 	}
-	q[i] = entry
-	entry.ev.index = i
+	q[i] = x
 }
 
-// fix re-keys the entry holding ev (whose at/seq just changed) and
-// re-establishes heap order: sift up first, and only if the entry did
-// not move, down.
-func (e *Engine) fix(ev *Event) {
-	q := e.queue
-	start := ev.index
-	entry := entryKey(ev)
-	i := start
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !entryLess(&entry, &q[parent]) {
-			break
+// remove takes the queued event ev out of its bucket.
+func (e *Engine) remove(ev *Event) {
+	b := bits.Len64(uint64(ev.at ^ e.base))
+	for i, x := range e.buckets[b] {
+		if x.ev == ev {
+			e.removeAt(b, i)
+			return
 		}
-		q[i] = q[parent]
-		q[i].ev.index = i
-		i = parent
 	}
-	if i != start {
-		q[i] = entry
-		entry.ev.index = i
-		return
+	panic("sim: queued event missing from its bucket")
+}
+
+// removeAt takes the entry at position i out of bucket b.
+func (e *Engine) removeAt(b, i int) {
+	q := e.buckets[b]
+	q[i].ev.queued = false
+	last := len(q) - 1
+	q[i] = q[last]
+	q[last] = entry{}
+	e.buckets[b] = q[:last]
+	e.n--
+	switch {
+	case b == 0:
+		if i != last && e.up0(i) == i {
+			e.down0(i)
+		}
+	case last == 0:
+		e.mask &^= 1 << b
 	}
-	e.siftDown(entry, i)
+}
+
+// scan discards the cancelled entries of bucket b and returns the
+// earliest instant among the rest; ok is false when none remain.
+func (e *Engine) scan(b int) (min Time, ok bool) {
+	q := e.buckets[b]
+	min = maxTime
+	for i := 0; i < len(q); {
+		if q[i].ev.cancel {
+			e.removeAt(b, i)
+			q = e.buckets[b]
+			continue
+		}
+		if q[i].at < min {
+			min = q[i].at
+		}
+		i++
+	}
+	return min, len(q) > 0
+}
+
+// rebase moves base to min, the earliest instant of bucket b (the lowest
+// non-empty one), and redistributes that bucket: every entry differs
+// from min only below bit b-1, so all land in lower buckets.
+func (e *Engine) rebase(b int, min Time) {
+	e.base = min
+	q := e.buckets[b]
+	e.buckets[b] = q[:0]
+	e.mask &^= 1 << b
+	for _, x := range q {
+		e.place(x)
+	}
+	clear(q)
+}
+
+// head returns the queue's next live event without removing it, or nil
+// when the queue is empty or its next live event lies after limit. It
+// discards cancelled events it meets on the way and re-bases only onto
+// an instant no later than limit.
+func (e *Engine) head(limit Time) *Event {
+	for e.n > 0 {
+		if q := e.buckets[0]; len(q) > 0 {
+			if e.base > limit {
+				return nil
+			}
+			if ev := q[0].ev; !ev.cancel {
+				return ev
+			}
+			e.pop0()
+			continue
+		}
+		b := bits.TrailingZeros64(e.mask)
+		// Every instant in bucket b shares base's bits above b-1 and has
+		// bit b-1 set: a horizon below that bound needs no scan.
+		if lo := e.base&^(1<<b-1) | 1<<(b-1); lo > limit {
+			return nil
+		}
+		min, ok := e.scan(b)
+		if !ok {
+			continue
+		}
+		if min > limit {
+			return nil
+		}
+		e.rebase(b, min)
+	}
+	return nil
+}
+
+// pop0 removes and returns bucket 0's first event.
+func (e *Engine) pop0() *Event {
+	ev := e.buckets[0][0].ev
+	e.removeAt(0, 0)
+	return ev
 }
 
 // Engine is a single-threaded discrete-event simulator. The zero value is
@@ -193,24 +283,48 @@ func (e *Engine) fix(ev *Event) {
 // pipelines are modelled as a causal sequence of events, and determinism is
 // a design requirement (see DESIGN.md).
 type Engine struct {
-	now     Time
-	queue   []heapEntry
+	now Time
+
+	// The radix queue (see above): buckets[b] with b ≥ 1 is non-empty
+	// exactly when bit b of mask is set; n counts every queued event,
+	// cancelled ones included.
+	base    Time
+	buckets [numBuckets][]entry
+	mask    uint64
+	n       int
+
 	seq     uint64
 	running bool
 	fired   uint64
+
+	// The point the run has reached, for Passed: the (prio, seq) of the
+	// event firing or last fired at now, or (PrioDefault, MaxUint64)
+	// once every event up to and including now has run (RunUntil
+	// reached its horizon, or the queue drained).
+	curPrio, curSeq uint64
+	// reservedMax is the latest instant handed to Reserve.
+	reservedMax Time
 }
 
 // NewEngine returns an engine with its clock at instant 0 and an empty
 // event queue.
 func NewEngine() *Engine {
-	return &Engine{}
+	e := &Engine{}
+	// Carve every bucket's first few slots out of one array: a queue
+	// spreads its events over a dozen or more buckets, and growing each
+	// from nil would cost several small allocations apiece.
+	slab := make([]entry, numBuckets*bucketSlab)
+	for b := range e.buckets {
+		e.buckets[b] = slab[b*bucketSlab : b*bucketSlab : (b+1)*bucketSlab]
+	}
+	return e
 }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of events waiting to fire.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.n }
 
 // Fired returns the total number of events executed so far. Useful for
 // workload accounting in benchmarks.
@@ -256,12 +370,12 @@ func (e *Engine) ScheduleAfter(d Duration, fn func()) *Event {
 // work: a component that fires once per packet keeps a single Event alive
 // for its whole lifetime rather than pushing one heap allocation per
 // packet through the garbage collector. Rescheduling an event that is
-// still queued panics — that would corrupt the heap.
+// still queued panics — that would corrupt the queue.
 func (e *Engine) Reschedule(ev *Event, at Time) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: reschedule at %v before now %v", at, e.now))
 	}
-	if ev.index != -1 {
+	if ev.queued {
 		panic("sim: reschedule of an event still in the queue")
 	}
 	ev.at = at
@@ -278,7 +392,7 @@ func (e *Engine) ReschedulePrio(ev *Event, at Time, prio uint64) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: reschedule at %v before now %v", at, e.now))
 	}
-	if ev.index != -1 {
+	if ev.queued {
 		panic("sim: reschedule of an event still in the queue")
 	}
 	ev.at = at
@@ -295,8 +409,8 @@ func (e *Engine) RescheduleAfter(ev *Event, d Duration) {
 }
 
 // Reprogram moves an event to a new instant whether or not it is still
-// queued: a pending event is re-keyed in place (heap.Fix, no pop/push
-// churn) and a fired or cancelled-and-popped one is re-armed exactly like
+// queued: a pending event is taken out of its bucket and re-queued under
+// the new key, and a fired or discarded one is re-armed exactly like
 // Reschedule. Either way the event takes a fresh sequence number, so it
 // orders after everything already scheduled for the same instant — the
 // same FIFO position a freshly scheduled event would get. Batch consumers
@@ -306,33 +420,37 @@ func (e *Engine) Reprogram(ev *Event, at Time) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: reprogram at %v before now %v", at, e.now))
 	}
-	if ev.index == -1 {
-		e.Reschedule(ev, at)
-		return
+	if ev.queued {
+		e.remove(ev)
 	}
-	ev.at = at
-	ev.prio = PrioDefault
-	ev.seq = e.seq
-	ev.cancel = false
-	e.seq++
-	e.fix(ev)
+	e.Reschedule(ev, at)
 }
 
 // Step executes the next pending event, advancing the clock to its instant.
 // It returns false when the queue is empty. Cancelled events are discarded
 // without advancing the clock.
+//
+// An empty queue counts every reservation (see Reserve) as fired: the
+// clock moves up to the latest reserved instant, where the reserved
+// events would have left it had they been queued.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := e.pop()
-		if ev.cancel {
-			continue
-		}
-		e.now = ev.at
-		e.fired++
-		ev.fn()
-		return true
+	ev := e.head(maxTime)
+	if ev == nil {
+		e.now = max(e.now, e.reservedMax)
+		e.curPrio, e.curSeq = PrioDefault, math.MaxUint64
+		return false
 	}
-	return false
+	e.pop0()
+	e.fire(ev)
+	return true
+}
+
+// fire runs the event just taken from the queue.
+func (e *Engine) fire(ev *Event) {
+	e.now = ev.at
+	e.curPrio, e.curSeq = ev.prio, ev.seq
+	e.fired++
+	ev.fn()
 }
 
 // Run executes events until the queue is empty.
@@ -347,24 +465,19 @@ func (e *Engine) Run() {
 // clock to t. Events scheduled after t remain queued.
 func (e *Engine) RunUntil(t Time) {
 	e.running = true
-	for e.running && len(e.queue) > 0 {
-		if e.queue[0].at > t {
+	for e.running {
+		ev := e.head(t)
+		if ev == nil {
+			if e.now <= t {
+				e.now = t
+				e.curPrio, e.curSeq = PrioDefault, math.MaxUint64
+			}
 			break
 		}
-		head := e.queue[0].ev
-		if head.cancel {
-			e.pop()
-			continue
-		}
-		e.pop()
-		e.now = head.at
-		e.fired++
-		head.fn()
+		e.pop0()
+		e.fire(ev)
 	}
 	e.running = false
-	if e.now < t {
-		e.now = t
-	}
 }
 
 // RunFor executes events for a span d of virtual time from the current
@@ -376,25 +489,83 @@ func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
 func (e *Engine) Stop() { e.running = false }
 
 // Peek returns the instant of the next pending event without executing
-// it.
-func (e *Engine) Peek() (Time, bool) { return e.peek() }
-
-func (e *Engine) peek() (Time, bool) {
-	for len(e.queue) > 0 {
-		if e.queue[0].ev.cancel {
-			e.pop()
-			continue
+// it. Reserved instants (see Reserve) are not events and never show.
+func (e *Engine) Peek() (Time, bool) {
+	for e.n > 0 {
+		if q := e.buckets[0]; len(q) > 0 {
+			if q[0].ev.cancel {
+				e.pop0()
+				continue
+			}
+			return e.base, true
 		}
-		return e.queue[0].at, true
+		if min, ok := e.scan(bits.TrailingZeros64(e.mask)); ok {
+			return min, true
+		}
 	}
 	return 0, false
+}
+
+// Reserve consumes the sequence number the next Schedule-family call
+// would take and returns it, without queueing anything: the key
+// (at, PrioDefault, seq) is the one Reschedule(ev, at) would have given
+// an event here. A component whose completion event usually has nothing
+// to do reserves the key instead of queueing the event; when work does
+// arrive before that key has passed (see Passed) it queues the event
+// under the reserved key with RescheduleReserved, so every event it does
+// queue fires exactly where it always would have. at must not be before
+// Now.
+func (e *Engine) Reserve(at Time) uint64 {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: reserve at %v before now %v", at, e.now))
+	}
+	s := e.seq
+	e.seq++
+	e.reservedMax = max(e.reservedMax, at)
+	return s
+}
+
+// Passed reports whether an event queued under the key
+// (at, PrioDefault, seq) would already have fired: inside a callback,
+// whether it orders before the event firing now; after RunUntil(t),
+// whether at ≤ t; after Stop, whether it orders before the last event
+// fired; after the queue drained, always.
+func (e *Engine) Passed(at Time, seq uint64) bool {
+	if at != e.now {
+		return at < e.now
+	}
+	return e.curPrio == PrioDefault && seq < e.curSeq
+}
+
+// RescheduleReserved re-arms a fired (or never queued) event under a key
+// taken by Reserve, which must not have passed yet.
+func (e *Engine) RescheduleReserved(ev *Event, at Time, seq uint64) {
+	if e.Passed(at, seq) {
+		panic(fmt.Sprintf("sim: reserved key (%v, %d) already passed", at, seq))
+	}
+	if ev.queued {
+		panic("sim: reschedule of an event still in the queue")
+	}
+	ev.at = at
+	ev.prio = PrioDefault
+	ev.seq = seq
+	ev.cancel = false
+	e.push(ev)
+}
+
+// NewEvent returns an event that is not queued: an idle reusable event
+// for a component to arm later with Reschedule or RescheduleReserved.
+// Creating it up front keeps the allocation out of the component's hot
+// path.
+func NewEvent(fn func()) *Event {
+	return &Event{fn: fn}
 }
 
 // ScheduleEvery schedules fn at t0, t0+period, t0+2*period, ... until the
 // returned Ticker is stopped; fn observes the engine clock at each firing.
 // It is the allocation-free periodic primitive: one Event (and one
 // callback closure) is reused for every tick, so a CBR source ticking
-// 14.88 M times per simulated second costs the event heap nothing beyond
+// 14.88 M times per simulated second costs the event queue nothing beyond
 // its single long-lived entry.
 func (e *Engine) ScheduleEvery(t0 Time, period Duration, fn func()) *Ticker {
 	if period <= 0 {

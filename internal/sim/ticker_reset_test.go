@@ -92,72 +92,3 @@ func TestTickerResetZeroAlloc(t *testing.T) {
 		t.Fatal("ticker never fired")
 	}
 }
-
-// TestPropertyHeapChurn drives the inlined heap through a deterministic
-// pseudo-random mix of Schedule, Cancel, Reprogram and Step, asserting
-// the popped sequence never goes backwards in (at, seq) order and that
-// every index stays consistent. It is the regression harness for the
-// hand-written sift loops replacing container/heap.
-func TestPropertyHeapChurn(t *testing.T) {
-	e := NewEngine()
-	r := NewRand(0xc0ffee)
-	var live []*Event
-	fired := 0
-	check := func() {
-		// Heap invariant: parent ≤ child at every node of the 4-ary
-		// heap, inline keys in sync with the events they denormalise,
-		// indices consistent.
-		for i := 1; i < len(e.queue); i++ {
-			p := (i - 1) / 4
-			if entryLess(&e.queue[i], &e.queue[p]) {
-				t.Fatalf("heap violation at %d", i)
-			}
-		}
-		for i := range e.queue {
-			ev := e.queue[i].ev
-			if ev.index != i {
-				t.Fatalf("index mismatch at %d: %d", i, ev.index)
-			}
-			if e.queue[i].at != ev.at {
-				t.Fatalf("stale inline key at %d", i)
-			}
-		}
-	}
-	for op := 0; op < 20000; op++ {
-		switch r.Intn(5) {
-		case 0, 1: // schedule
-			at := e.Now().Add(Duration(r.Intn(1000)))
-			live = append(live, e.Schedule(at, func() { fired++ }))
-		case 2: // cancel a random live event
-			if len(live) > 0 {
-				live[r.Intn(len(live))].Cancel()
-			}
-		case 3: // reprogram a random live event
-			if len(live) > 0 {
-				ev := live[r.Intn(len(live))]
-				e.Reprogram(ev, e.Now().Add(Duration(r.Intn(1000))))
-			}
-		case 4: // step
-			before := e.Now()
-			if e.Step() {
-				if e.Now() < before {
-					t.Fatalf("clock went backwards: %v → %v", before, e.Now())
-				}
-			}
-		}
-		if op%128 == 0 {
-			check()
-		}
-	}
-	// Drain; instants must be non-decreasing.
-	prev := e.Now()
-	for e.Step() {
-		if e.Now() < prev {
-			t.Fatalf("drain went backwards: %v → %v", prev, e.Now())
-		}
-		prev = e.Now()
-	}
-	if fired == 0 {
-		t.Fatal("churn fired nothing")
-	}
-}

@@ -134,7 +134,7 @@ type Switch struct {
 
 	cfg   Config
 	ports []*Port
-	fdb   map[packet.MAC]int
+	fdb   fdb
 	rand  *sim.Rand
 
 	// ECMP groups: groups[g-1] is the member port list of group g
@@ -148,6 +148,7 @@ type Switch struct {
 	lookupDrops  uint64
 	runtDrops    uint64
 	hairpinDrops uint64
+	unconnDrops  uint64
 	floods       uint64
 	forwarded    stats.Counter
 
@@ -160,13 +161,15 @@ type Switch struct {
 }
 
 // pendingLookup is one lookup-FIFO entry: a single frame (a run of one)
-// or a coalesced uniform run. lastBit and readyAt are the FIRST frame's
-// instants and span is the per-frame ingress occupancy, so every later
-// frame's instants follow arithmetically (lastBit_k = lastBit + k·span,
-// readyAt_k = readyAt + k·span — exact because a run of more than one
-// requires service ≤ span, see trainViable).
+// or a coalesced uniform run of n frames. lastBit and readyAt are the
+// FIRST frame's instants and span is the per-frame ingress occupancy, so
+// every later frame's instants follow arithmetically (lastBit_k = lastBit
+// + k·span, readyAt_k = readyAt + k·span — exact because a run of more
+// than one requires service ≤ span, see trainViable). The entry carries
+// the frame count so the queue accounting never re-reads the run.
 type pendingLookup struct {
 	run     *wire.Train
+	n       int
 	inPort  int
 	lastBit sim.Time     // frame fully received at the ingress MAC
 	span    sim.Duration // ingress wire occupancy (lastBit - firstBit)
@@ -182,12 +185,14 @@ func New(e *sim.Engine, cfg Config) *Switch {
 	s := &Switch{
 		Engine:  e,
 		cfg:     cfg,
-		fdb:     make(map[packet.MAC]int),
 		rand:    sim.NewRand(cfg.Seed ^ 0x5057),
 		groupOf: make([]int, cfg.Ports),
 	}
 	for i := 0; i < cfg.Ports; i++ {
-		s.ports = append(s.ports, &Port{sw: s, index: i})
+		p := &Port{sw: s, index: i}
+		p.lookupEv = sim.NewEvent(p.lookupDone)
+		p.txEv = sim.NewEvent(p.txDone)
+		s.ports = append(s.ports, p)
 	}
 	return s
 }
@@ -231,7 +236,7 @@ func (s *Switch) LearnGroup(mac packet.MAC, gid int) {
 	if gid < 1 || gid > len(s.groups) {
 		panic(fmt.Sprintf("switchsim: learn on group %d of %d", gid, len(s.groups)))
 	}
-	s.fdb[mac] = -gid
+	s.fdb.set(mac, -gid)
 }
 
 // GroupPorts returns the member ports of group gid.
@@ -267,7 +272,7 @@ func (s *Switch) Learn(mac packet.MAC, port int) {
 	if port < 0 || port >= len(s.ports) {
 		panic(fmt.Sprintf("switchsim: learn on port %d of %d", port, len(s.ports)))
 	}
-	s.fdb[mac] = port
+	s.fdb.set(mac, port)
 }
 
 // NumPorts returns the port count.
@@ -309,6 +314,9 @@ func (s *Switch) HairpinDrops() uint64 { return s.hairpinDrops }
 // Sprays returns the number of ECMP member selections performed.
 func (s *Switch) Sprays() uint64 { return s.sprays }
 
+// UnconnectedDrops returns frames forwarded toward a port with no link.
+func (s *Switch) UnconnectedDrops() uint64 { return s.unconnDrops }
+
 // Floods returns packets flooded for unknown/broadcast destinations.
 func (s *Switch) Floods() uint64 { return s.floods }
 
@@ -317,10 +325,8 @@ func (s *Switch) Forwarded() stats.Counter { return s.forwarded }
 
 // MACTable returns a copy of the learned station table.
 func (s *Switch) MACTable() map[packet.MAC]int {
-	out := make(map[packet.MAC]int, len(s.fdb))
-	for k, v := range s.fdb {
-		out[k] = v
-	}
+	out := make(map[packet.MAC]int, s.fdb.n)
+	s.fdb.each(func(mac packet.MAC, dest int) { out[mac] = dest })
 	return out
 }
 
@@ -377,7 +383,7 @@ func (s *Switch) trainViable(p *Port, t *wire.Train, at sim.Time) bool {
 	if err := eth.DecodeFromBytes(t.Frames[0].Data); err != nil {
 		return false
 	}
-	out, ok := s.fdb[eth.Dst]
+	out, ok := s.fdb.get(eth.Dst)
 	if !ok || eth.Dst.IsMulticast() {
 		return false
 	}
@@ -455,7 +461,7 @@ func (s *Switch) receive(p *Port, run *wire.Train, firstBit, lastBit sim.Time) {
 	// single-threaded and the pipeline delay constant), so the pending
 	// lookups form a FIFO drained by one reusable event per port instead
 	// of one Event + closure per packet.
-	p.lookupQ.Push(pendingLookup{run: run, inPort: p.index, lastBit: lastBit, span: span, readyAt: ready})
+	p.lookupQ.Push(pendingLookup{run: run, n: n, inPort: p.index, lastBit: lastBit, span: span, readyAt: ready})
 	p.lookupFrames += n
 	if p.lookupQ.Len() == 1 {
 		p.armLookup(ready)
@@ -469,12 +475,7 @@ func (p *Port) armLookup(ready sim.Time) {
 	if now := p.sw.Engine.Now(); eventAt < now {
 		eventAt = now
 	}
-	if p.lookupEv == nil {
-		//lint:ignore hotpathalloc one-time event creation per port; steady state reschedules
-		p.lookupEv = p.sw.Engine.Schedule(eventAt, p.lookupDone)
-	} else {
-		p.sw.Engine.Reschedule(p.lookupEv, eventAt)
-	}
+	p.sw.Engine.Reschedule(p.lookupEv, eventAt)
 }
 
 // lookupDone pops the head pending lookup, re-arms for the next one, and
@@ -483,7 +484,7 @@ func (p *Port) armLookup(ready sim.Time) {
 //lint:hotpath
 func (p *Port) lookupDone() {
 	d := p.lookupQ.Pop()
-	p.lookupFrames -= d.run.Len()
+	p.lookupFrames -= d.n
 	if p.lookupQ.Len() > 0 {
 		p.armLookup(p.lookupQ.Peek().readyAt)
 	}
@@ -498,7 +499,7 @@ func (p *Port) lookupDone() {
 // one decision per frame.
 func (s *Switch) decide(d pendingLookup) {
 	t := d.run
-	n := uint64(t.Len())
+	n := uint64(d.n)
 	data := t.Frames[0].Data
 	var eth packet.Ethernet
 	if err := eth.DecodeFromBytes(data); err != nil {
@@ -516,11 +517,11 @@ func (s *Switch) decide(d pendingLookup) {
 		// group's members (any member — that is what a bundle is).
 		// Arrival anywhere else means the station moved, so relearn to
 		// the port as usual.
-		if cur, ok := s.fdb[eth.Src]; !ok || cur >= 0 || s.groupOf[d.inPort] != -cur {
-			s.fdb[eth.Src] = d.inPort
+		if cur, ok := s.fdb.get(eth.Src); !ok || cur != d.inPort && (cur >= 0 || s.groupOf[d.inPort] != -cur) {
+			s.fdb.set(eth.Src, d.inPort)
 		}
 	}
-	out, ok := s.fdb[eth.Dst]
+	out, ok := s.fdb.get(eth.Dst)
 	if !ok || eth.Dst.IsMulticast() {
 		s.flood(d)
 		return
@@ -570,7 +571,7 @@ func (s *Switch) flood(d pendingLookup) {
 					continue
 				}
 			}
-			s.dispatch(pendingLookup{run: f.Clone().Train(), inPort: d.inPort, lastBit: d.lastBit, span: d.span, readyAt: d.readyAt}, j)
+			s.dispatch(pendingLookup{run: f.Clone().Train(), n: 1, inPort: d.inPort, lastBit: d.lastBit, span: d.span, readyAt: d.readyAt}, j)
 		}
 		f.Release()
 		d.lastBit, d.readyAt = d.lastBit.Add(d.span), d.readyAt.Add(d.span)
@@ -609,14 +610,14 @@ func (s *Switch) dispatch(d pendingLookup, out int) {
 	if boundary && earliest < d.lastBit {
 		earliest = d.lastBit // not fully stored yet: wait for the last bit
 	}
-	n := t.Len()
+	n := d.n
 	qcap := s.cfg.EgressQueueCap
 	if n == 1 || serOut >= d.span && p.link != nil && p.queueFrames+n <= qcap/2 && n <= qcap/4 {
-		p.enqueue(t, earliest, boundary)
+		p.enqueue(t, n, earliest, boundary)
 		return
 	}
 	for i := range t.Frames {
-		p.enqueue(t.Take(i).Train(), earliest, boundary)
+		p.enqueue(t.Take(i).Train(), 1, earliest, boundary)
 		earliest = earliest.Add(d.span)
 	}
 }
@@ -636,6 +637,17 @@ type Port struct {
 	drops  uint64
 	egress stats.Counter
 
+	// A transmission that leaves the egress queue empty does not queue
+	// txEv: its completion would only mark the MAC free. txIdle records
+	// that the MAC is busy until the reserved key (idleAt, idleSeq) —
+	// the key txEv would have fired under. An enqueue that finds the
+	// key not yet passed queues txEv under it; one that finds it passed
+	// sees a free MAC. Either way every observable instant and event
+	// order is the one the queued completion would have produced.
+	txIdle  bool
+	idleAt  sim.Time
+	idleSeq uint64
+
 	// queueFrames counts frames (not FIFO entries) pending in the egress
 	// queue: a train entry carries many, so the cap check and QueueDepth
 	// need the frame count.
@@ -652,9 +664,10 @@ type Port struct {
 }
 
 // queued is one egress-FIFO entry: a frame (a run of one) or a coalesced
-// run, transmitted in one MAC pass from earliest on.
+// run of n frames, transmitted in one MAC pass from earliest on.
 type queued struct {
 	run      *wire.Train
+	n        int
 	earliest sim.Time
 }
 
@@ -695,38 +708,56 @@ func (p *Port) Egress() stats.Counter { return p.egress }
 // QueueDepth returns the instantaneous egress queue occupancy in frames.
 func (p *Port) QueueDepth() int { return p.queueFrames }
 
-func (p *Port) enqueue(t *wire.Train, earliest sim.Time, boundary bool) {
+// enqueue queues the n-frame run t for transmission from earliest on,
+// or drops it: toward a port with no link (a black hole, as on hardware,
+// attributed like every other loss) or into a full queue.
+func (p *Port) enqueue(t *wire.Train, n int, earliest sim.Time, boundary bool) {
 	if p.link == nil {
-		panic(fmt.Sprintf("switchsim: egress port %d has no link", p.index))
+		p.sw.unconnDrops += uint64(n)
+		p.sw.ledger.Report(p.sw.dropHop, wire.DropUnconnected, uint64(n))
+		t.Release()
+		return
 	}
 	if p.queueFrames >= p.sw.cfg.EgressQueueCap {
-		n := uint64(t.Len())
-		p.drops += n
+		p.drops += uint64(n)
 		reason := wire.DropEgressOverflow
 		if boundary {
 			reason = wire.DropRateBoundary
 		}
-		p.sw.ledger.Report(p.sw.dropHop, reason, n)
+		p.sw.ledger.Report(p.sw.dropHop, reason, uint64(n))
 		t.Release()
 		return
 	}
-	p.queue.Push(queued{run: t, earliest: earliest})
-	p.queueFrames += t.Len()
+	p.queue.Push(queued{run: t, n: n, earliest: earliest})
+	p.queueFrames += n
 	p.trySend()
 }
 
 // trySend starts serialising the head entry of the egress queue when the
-// MAC is free: one link call and one completion event per entry, with
-// per-frame counters and hop stamps.
+// MAC is free: one link call per entry, with per-frame counters and hop
+// stamps, and one completion event per entry that has others queued
+// behind it (see txIdle).
 //
 //lint:hotpath
 func (p *Port) trySend() {
-	if p.busy || p.queue.Len() == 0 {
+	e := p.sw.Engine
+	if p.busy {
+		if !p.txIdle {
+			return // txEv is queued and sends the next entry
+		}
+		if !e.Passed(p.idleAt, p.idleSeq) {
+			e.RescheduleReserved(p.txEv, p.idleAt, p.idleSeq)
+			p.txIdle = false
+			return
+		}
+		p.busy, p.txIdle = false, false
+	}
+	if p.queue.Len() == 0 {
 		return
 	}
 	q := p.queue.Pop()
 	t := q.run
-	p.queueFrames -= t.Len()
+	p.queueFrames -= q.n
 	p.busy = true
 	rate := p.link.Rate
 	if id := p.sw.cfg.HopID; id != 0 {
@@ -745,16 +776,12 @@ func (p *Port) trySend() {
 		p.sw.forwarded.Add(wb)
 	}
 	end := p.link.Transmit(t, q.earliest)
-	eventAt := end
-	if now := p.sw.Engine.Now(); eventAt < now {
-		eventAt = now
+	eventAt := max(end, e.Now())
+	if p.queue.Len() == 0 {
+		p.idleAt, p.idleSeq, p.txIdle = eventAt, e.Reserve(eventAt), true
+		return
 	}
-	if p.txEv == nil {
-		//lint:ignore hotpathalloc one-time event creation per port; steady state reschedules
-		p.txEv = p.sw.Engine.Schedule(eventAt, p.txDone)
-	} else {
-		p.sw.Engine.Reschedule(p.txEv, eventAt)
-	}
+	e.Reschedule(p.txEv, eventAt)
 }
 
 func (p *Port) txDone() {

@@ -21,7 +21,7 @@ import (
 //
 // key is the boundary link's structural delivery key (SetDeliveryKey):
 // the same-instant priority its delivery events carry. Replaying a
-// boundary delivery at (lastBit, key) puts it in exactly the heap
+// boundary delivery at (lastBit, key) puts it in exactly the queue
 // position the link's own event would occupy in a single-engine run —
 // same-instant arrivals at a device order by cable, a property of the
 // topology rather than of scheduling history — which is what makes the

@@ -258,7 +258,7 @@ type Link struct {
 	// pending is the in-flight FIFO: frames serialised but not yet
 	// delivered, in departure (= arrival) order. One reusable event —
 	// armed at the head's arrival instant — drains it, so a burst of N
-	// back-to-back frames occupies a single event-heap slot instead of N.
+	// back-to-back frames occupies a single event-queue slot instead of N.
 	pending   ring.FIFO[inflight]
 	deliverEv *sim.Event
 }
@@ -333,7 +333,7 @@ func (l *Link) Transmit(t *Train, earliest sim.Time) sim.Time {
 	if l.exporter != nil {
 		// Boundary link: ownership of the run transfers with the call;
 		// the destination shard replays it at the computed instants under
-		// this link's delivery key, so it lands in exactly the heap
+		// this link's delivery key, so it lands in exactly the queue
 		// position a local delivery event would occupy.
 		l.exporter.Export(t, firstBit, lastBit, l.deliverPrio)
 		return end
