@@ -198,4 +198,4 @@ func (g *Merge) getBuf(n int) []byte {
 }
 
 // pending returns the queue's undelivered ring occupancy.
-func (q *queue) pending() int { return len(q.ring) - q.head }
+func (q *queue) pending() int { return q.ring.Len() }

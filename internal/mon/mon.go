@@ -31,6 +31,7 @@ import (
 	"osnt/internal/filter"
 	"osnt/internal/netfpga"
 	"osnt/internal/packet"
+	"osnt/internal/ring"
 	"osnt/internal/sim"
 	"osnt/internal/stats"
 	"osnt/internal/timing"
@@ -194,9 +195,9 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// queue is one capture queue: an independent head-indexed descriptor
-// ring drained by its own reusable DMA event, with its own drop
-// accounting and buffer free list.
+// queue is one capture queue: an independent descriptor ring drained by
+// its own reusable DMA event, with its own drop accounting and buffer
+// free list.
 type queue struct {
 	m   *Monitor
 	idx int
@@ -207,12 +208,8 @@ type queue struct {
 	sink      func(Record)
 	recycle   bool
 
-	// ring is a head-indexed FIFO: head advances on delivery and the
-	// tail grows by append; pending occupancy is len(ring)-head. The
-	// slice is compacted only when the dead prefix dominates, so the
-	// per-packet cost is O(1) with no copy-down.
-	ring     []Record
-	head     int
+	// ring holds the admitted records awaiting DMA, oldest first.
+	ring     ring.FIFO[Record]
 	draining bool
 	drainEv  *sim.Event // reusable: at most one DMA completion in flight
 	// nextFinish is the instant the in-flight DMA completes (valid while
@@ -491,7 +488,7 @@ func (m *Monitor) admit(t *wire.Train, at sim.Time) {
 			q.advanceTo(lb)
 		}
 
-		if len(q.ring)-q.head >= q.ringSize {
+		if q.ring.Len() >= q.ringSize {
 			q.ringDrops++
 			m.ledger.Report(m.hop, wire.DropRingFull, 1)
 			continue
@@ -501,7 +498,7 @@ func (m *Monitor) admit(t *wire.Train, at sim.Time) {
 		// datapath and may be reused.
 		cp := q.getBuf(len(data))
 		copy(cp, data)
-		q.ring = append(q.ring, Record{
+		q.ring.Push(Record{
 			Data: cp, WireSize: f.Size, TS: ts, Arrival: lb,
 			Port: m.port.Index(), Queue: q.idx, Rule: ruleIdx, Hash: hash,
 			Seq: q.seq, Trace: f.Trace,
@@ -548,11 +545,11 @@ func (m *Monitor) admit(t *wire.Train, at sim.Time) {
 func (q *queue) advanceTo(t sim.Time) {
 	for q.draining && q.nextFinish <= t {
 		q.deliverHead(q.nextFinish)
-		if len(q.ring) == q.head {
+		if q.ring.Len() == 0 {
 			q.draining = false
 			break
 		}
-		q.nextFinish = q.nextFinish.Add(q.perPacket + sim.Duration(len(q.ring[q.head].Data))*q.perByte)
+		q.nextFinish = q.nextFinish.Add(q.perPacket + sim.Duration(len(q.ring.Peek().Data))*q.perByte)
 	}
 }
 
@@ -609,19 +606,7 @@ func (q *queue) getBuf(n int) []byte {
 // head, stamping the given completion instant. Shared by the real
 // completion event and admission's virtual advance.
 func (q *queue) deliverHead(doneAt sim.Time) {
-	rec := q.ring[q.head]
-	q.ring[q.head] = Record{}
-	q.head++
-	// Compact once the dead prefix dominates a non-trivial ring, so the
-	// backing array stays proportional to occupancy.
-	if q.head >= 256 && q.head*2 >= len(q.ring) {
-		n := copy(q.ring, q.ring[q.head:])
-		for i := n; i < len(q.ring); i++ {
-			q.ring[i] = Record{}
-		}
-		q.ring = q.ring[:n]
-		q.head = 0
-	}
+	rec := q.ring.Pop()
 	rec.Delivered = doneAt
 	q.delivered.Add(rec.WireSize)
 	if q.sink != nil {
@@ -640,11 +625,11 @@ func (q *queue) deliverHead(doneAt sim.Time) {
 func (q *queue) drainDone() {
 	now := q.m.eng.Now()
 	q.deliverHead(now)
-	if len(q.ring) == q.head {
+	if q.ring.Len() == 0 {
 		q.draining = false
 		return
 	}
-	q.nextFinish = now.Add(q.perPacket + sim.Duration(len(q.ring[q.head].Data))*q.perByte)
+	q.nextFinish = now.Add(q.perPacket + sim.Duration(len(q.ring.Peek().Data))*q.perByte)
 	q.m.eng.Reprogram(q.drainEv, q.nextFinish)
 }
 
@@ -668,7 +653,7 @@ func (m *Monitor) QueueStats(i int) QueueStats {
 		Accepted:  q.accepted,
 		RingDrops: q.ringDrops,
 		Delivered: q.delivered,
-		Depth:     len(q.ring) - q.head,
+		Depth:     q.ring.Len(),
 	}
 }
 
@@ -698,7 +683,7 @@ func (m *Monitor) Delivered() stats.Counter {
 func (m *Monitor) RingDepth() int {
 	d := 0
 	for i := range m.queues {
-		d += len(m.queues[i].ring) - m.queues[i].head
+		d += m.queues[i].ring.Len()
 	}
 	return d
 }

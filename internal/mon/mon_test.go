@@ -598,18 +598,16 @@ func TestPerQueueSinksAndStats(t *testing.T) {
 }
 
 func TestRingCompactionAcrossThreshold(t *testing.T) {
-	// Sustained overload walks the ring head far past the 256-record
-	// compaction threshold while live records sit behind it. Compaction
-	// must neither lose nor corrupt records, and the backing array must
-	// stay proportional to the ring capacity instead of the packet
-	// count.
+	// Sustained overload wraps the full ring many times over while live
+	// records sit behind its head. Wrapping must neither lose, reorder
+	// nor corrupt records. (ring.FIFO's own tests bound its backing
+	// array by twice the peak occupancy.)
 	r, g := newRig(t, Config{RingSize: 512}, 1518, 1.0)
 	g.Start(0)
 	r.e.RunUntil(20 * sim.Time(sim.Millisecond))
 	g.Stop()
 	r.e.Run()
 
-	q := &r.mon.queues[0]
 	if r.mon.RingDrops() == 0 {
 		t.Fatal("rig under-loaded: the ring never overflowed")
 	}
@@ -621,11 +619,6 @@ func TestRingCompactionAcrossThreshold(t *testing.T) {
 	}
 	if acc := r.mon.QueueStats(0).Accepted.Packets; acc != r.mon.Delivered().Packets {
 		t.Fatalf("accepted %d != delivered %d after drain", acc, r.mon.Delivered().Packets)
-	}
-	// Thousands of records flowed through; a leak of the dead prefix
-	// would leave cap(ring) proportional to that count.
-	if c := cap(q.ring); c > 4*512 {
-		t.Fatalf("ring backing array grew to %d slots for a 512-deep ring (compaction rotted?)", c)
 	}
 	last := sim.Time(0)
 	for i, rec := range r.recs {

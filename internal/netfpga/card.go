@@ -8,7 +8,6 @@ package netfpga
 import (
 	"fmt"
 
-	"osnt/internal/ring"
 	"osnt/internal/sim"
 	"osnt/internal/stats"
 	"osnt/internal/timing"
@@ -62,14 +61,15 @@ type Card struct {
 	cfg   Config
 	ports []*Port
 
-	// Loss attribution: TX queue overflows report (dropHop, reason)
-	// into the scenario ledger when one is attached (topo threads it).
+	// Loss attribution: TX queue refusals report (dropHop, reason) into
+	// the scenario ledger when one is attached (topo threads it).
 	ledger  *wire.DropLedger
 	dropHop int
 }
 
 // SetDropSite attaches the scenario's loss-attribution ledger; TX queue
-// overflows on any port report at the given hop ID.
+// refusals on any port (overflow, or no link) report at the given hop
+// ID.
 func (c *Card) SetDropSite(ledger *wire.DropLedger, hop int) {
 	c.ledger, c.dropHop = ledger, hop
 }
@@ -80,6 +80,7 @@ func New(e *sim.Engine, cfg Config) *Card {
 	c := &Card{Engine: e, Clock: cfg.Clock, Regs: NewRegisters(), cfg: cfg}
 	for i := 0; i < cfg.Ports; i++ {
 		p := &Port{card: c, index: i}
+		p.tx.Init(e, cfg.TxQueueCap, p.trySend)
 		// Register indices are resolved once here: the TX/RX paths bump
 		// these counters per packet and must pay neither a fmt.Sprintf
 		// nor a map probe there.
@@ -114,11 +115,8 @@ type Port struct {
 	index int
 
 	// TX side: the queue holds runs of back-to-back frames (a single
-	// frame is a run of one); txqFrames counts the frames in it.
-	txLink    *wire.Link
-	txq       ring.FIFO[*wire.Train]
-	txqFrames int
-	txBusy    bool
+	// frame is a run of one) and drains them onto the MAC's link.
+	tx wire.TxQueue
 	// OnTransmit fires when a frame is latched into the MAC, just before
 	// serialisation begins — the point where OSNT's generator embeds the
 	// departure timestamp. The callback may modify the frame bytes.
@@ -140,10 +138,6 @@ type Port struct {
 	rxStats stats.Counter
 	txDrops uint64
 
-	// txDoneEv is the reusable MAC-idle event: at most one transmission
-	// is in flight per port, so one Event serves every frame.
-	txDoneEv *sim.Event
-
 	// Pre-resolved register indices (see New) keep the per-packet counter
 	// updates allocation-free and map-free.
 	regTxPackets, regTxBytes, regTxDrops int
@@ -157,32 +151,27 @@ func (p *Port) Index() int { return p.index }
 func (p *Port) Card() *Card { return p.card }
 
 // SetLink attaches the egress link (towards the device under test).
-func (p *Port) SetLink(l *wire.Link) { p.txLink = l }
+func (p *Port) SetLink(l *wire.Link) { p.tx.SetLink(l) }
 
 // Link returns the attached egress link.
-func (p *Port) Link() *wire.Link { return p.txLink }
+func (p *Port) Link() *wire.Link { return p.tx.Link() }
 
 // Enqueue places a run of frames (a single frame is a run of one, see
 // wire.Frame.Train) on the TX queue; the MAC later serialises it back to
 // back in one pass. It reports false (and counts a drop per frame) when
-// the queue is full — software offered more than line rate for longer
-// than the queue can absorb; the caller keeps ownership of a refused
-// run.
+// the port has no link or the queue is full — software offered more
+// than line rate for longer than the queue can absorb; the caller keeps
+// ownership of a refused run.
 //
 //lint:hotpath
 func (p *Port) Enqueue(t *wire.Train) bool {
-	if p.txLink == nil {
-		panic(fmt.Sprintf("netfpga: port %d transmit with no link attached", p.index))
-	}
-	if p.txqFrames >= p.card.cfg.TxQueueCap {
-		n := uint64(t.Len())
-		p.txDrops += n
-		p.card.Regs.AddAt(p.regTxDrops, n)
-		p.card.ledger.Report(p.card.dropHop, wire.DropTxOverflow, n)
+	n := t.Len()
+	if why, ok := p.tx.Push(t, n, p.card.Engine.Now(), wire.DropTxOverflow); !ok {
+		p.txDrops += uint64(n)
+		p.card.Regs.AddAt(p.regTxDrops, uint64(n))
+		p.card.ledger.Report(p.card.dropHop, why, uint64(n))
 		return false
 	}
-	p.txq.Push(t)
-	p.txqFrames += t.Len()
 	p.trySend()
 	return true
 }
@@ -192,25 +181,22 @@ func (p *Port) Enqueue(t *wire.Train) bool {
 // to an idle MAC departs at once, so its frames abut from the current
 // instant. It holds at every emission instant as long as offered load
 // stays at or below line rate.
-func (p *Port) TxIdle() bool { return !p.txBusy && p.txq.Len() == 0 }
+func (p *Port) TxIdle() bool { return p.tx.Idle() }
 
 // trySend latches and serialises the head run of the TX queue when the
-// MAC is free: one transmit event and one register update batch per run,
-// with per-frame OnTransmit hooks at each frame's exact latch instant —
-// frame k is latched the moment frame k-1's last bit leaves.
+// MAC is free: one link call and one register update batch per run, with
+// per-frame OnTransmit hooks at each frame's exact latch instant — frame
+// k is latched the moment frame k-1's last bit leaves. It is also the
+// MAC's completion callback.
 //
 //lint:hotpath
 func (p *Port) trySend() {
-	if p.txBusy || p.txq.Len() == 0 {
+	t, start, ok := p.tx.Next()
+	if !ok {
 		return
 	}
-	t := p.txq.Pop()
-	p.txqFrames -= t.Len()
-
-	e := p.card.Engine
-	rate := p.txLink.Rate
-	now := e.Now()
-	latch := now
+	rate := p.tx.Link().Rate
+	latch := start
 	var sizes uint64
 	for _, f := range t.Frames {
 		ts := p.card.Clock.Now(latch)
@@ -223,19 +209,7 @@ func (p *Port) trySend() {
 	}
 	p.card.Regs.AddAt(p.regTxPackets, uint64(t.Len()))
 	p.card.Regs.AddAt(p.regTxBytes, sizes)
-	p.txBusy = true
-	end := p.txLink.Transmit(t, now)
-	if p.txDoneEv == nil {
-		//lint:ignore hotpathalloc one-time event creation per port; steady state reschedules
-		p.txDoneEv = e.Schedule(end, p.txDone)
-	} else {
-		e.Reschedule(p.txDoneEv, end)
-	}
-}
-
-func (p *Port) txDone() {
-	p.txBusy = false
-	p.trySend()
+	p.tx.Send(t, start)
 }
 
 // Receive implements wire.Endpoint: one delivery event covers the whole
@@ -282,11 +256,11 @@ func (p *Port) TxStats() stats.Counter { return p.txStats }
 // RxStats returns cumulative receive counters (wire bytes).
 func (p *Port) RxStats() stats.Counter { return p.rxStats }
 
-// TxDrops returns frames dropped at the TX queue.
+// TxDrops returns frames the TX queue refused (full, or no link).
 func (p *Port) TxDrops() uint64 { return p.txDrops }
 
 // TxQueueDepth returns the instantaneous TX queue occupancy in frames.
-func (p *Port) TxQueueDepth() int { return p.txqFrames }
+func (p *Port) TxQueueDepth() int { return p.tx.Len() }
 
 func (p *Port) regName(suffix string) string {
 	return fmt.Sprintf("port%d.%s", p.index, suffix)

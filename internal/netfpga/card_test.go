@@ -132,15 +132,75 @@ func TestPortReceiveTimestamps(t *testing.T) {
 	}
 }
 
-func TestPortEnqueueWithoutLinkPanics(t *testing.T) {
+// TestPortEnqueueWithoutLinkRefuses offers pooled frames alternately to
+// a linked port and to one with no link. The unlinked port refuses each
+// run like a full queue — counted, reported to the ledger as
+// unconnected, ownership left with the caller — so every offered frame
+// is delivered or attributed, and every pooled frame comes back.
+func TestPortEnqueueWithoutLinkRefuses(t *testing.T) {
 	e := sim.NewEngine()
 	c := New(e, Config{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
+	ledger := &wire.DropLedger{}
+	ledger.Register(3, "tester")
+	c.SetDropSite(ledger, 3)
+	var delivered uint64
+	c.Port(2).OnReceive = func(*wire.Frame, sim.Time, timing.Timestamp) { delivered++ }
+	c.Port(0).SetLink(wire.NewLink(e, wire.Rate10G, 0, c.Port(2)))
+
+	pool := wire.NewPool()
+	const offered = 10
+	refused := 0
+	for i := 0; i < offered; i++ {
+		f := pool.Get(60)
+		if !c.Port(i % 2).Enqueue(f.Train()) {
+			refused++
+			f.Release() // a refused run stays the caller's
 		}
-	}()
-	c.Port(0).Enqueue(frame(64).Train())
+	}
+	e.Run()
+	if refused != offered/2 {
+		t.Fatalf("refused %d runs, want %d (every one offered to the unlinked port)", refused, offered/2)
+	}
+	p := c.Port(1)
+	if p.TxDrops() != offered/2 || c.Regs.Get("port1.tx_drops") != offered/2 {
+		t.Fatalf("unlinked port counted %d drops (register %d), want %d", p.TxDrops(), c.Regs.Get("port1.tx_drops"), offered/2)
+	}
+	if got := ledger.Count(3, wire.DropUnconnected); got != offered/2 {
+		t.Fatalf("ledger unconnected drops = %d, want %d", got, offered/2)
+	}
+	if delivered+ledger.Total() != offered {
+		t.Fatalf("delivered %d + attributed %d != offered %d", delivered, ledger.Total(), offered)
+	}
+	if gets, puts, _ := pool.Stats(); gets != puts {
+		t.Fatalf("pool: %d gets, %d puts — frames leaked", gets, puts)
+	}
+}
+
+// TestTxIdleAtReservedCompletion probes TxIdle at the instant a lone
+// frame's transmission ends, from an event ordered before its completion
+// and from one ordered after it: a generator emission armed before the
+// frame was sent still sees a busy MAC, one armed after sees it idle —
+// the answers a queued completion event gave, although a transmission
+// that leaves the queue empty only reserves its completion.
+func TestTxIdleAtReservedCompletion(t *testing.T) {
+	e := sim.NewEngine()
+	p := New(e, Config{}).Port(0)
+	p.SetLink(wire.NewLink(e, wire.Rate10G, 0, nil))
+	end := sim.Time(0).Add(wire.SerializationTime(64, wire.Rate10G))
+	var got []bool
+	probe := func() { got = append(got, p.TxIdle()) }
+	e.Schedule(end, probe)
+	e.Schedule(0, func() {
+		if !p.Enqueue(frame(64).Train()) {
+			t.Fatal("enqueue failed")
+		}
+		probe()
+		e.Schedule(end, probe)
+	})
+	e.Run()
+	if len(got) != 3 || got[0] || got[1] || !got[2] {
+		t.Fatalf("TxIdle at send, at end before and after the completion = %v, want [false false true]", got)
+	}
 }
 
 func TestCardWithDriftingClock(t *testing.T) {

@@ -238,8 +238,8 @@ func (s *Switch) buildStatsReply(req *openflow.StatsRequest) *openflow.StatsRepl
 			}
 			reply.Ports = append(reply.Ports, openflow.PortStats{
 				PortNo:    p.OFPort(),
-				RxPackets: p.rx.Packets, TxPackets: p.tx.Packets,
-				RxBytes: p.rx.Bytes, TxBytes: p.tx.Bytes,
+				RxPackets: p.rxStats.Packets, TxPackets: p.txStats.Packets,
+				RxBytes: p.rxStats.Bytes, TxBytes: p.txStats.Bytes,
 				TxDropped: p.drops,
 			})
 		}

@@ -660,3 +660,29 @@ func benchLookup(b *testing.B, exact bool) {
 		}
 	}
 }
+
+// TestQueuedFrameWaitsForPipeline sends two 64 B frames of one flow to
+// the same egress from different ingresses, 200 ns apart. The second
+// queues behind the first's transmission, which ends before the second
+// clears the pipeline: it must still leave no earlier than its own
+// arrival + PipelineLatency, not the instant the MAC frees.
+func TestQueuedFrameWaitsForPipeline(t *testing.T) {
+	r := newRig(t, Config{})
+	r.addFlow(t, 80, 2)
+	in2 := wire.NewLink(r.e, wire.Rate10G, 0, r.sw.Port(2))
+	t0 := r.e.Now()
+	ser := wire.SerializationTime(64, wire.Rate10G)
+	r.e.Schedule(t0, func() { r.in.Transmit(wire.NewFrame(probe(80, 64)).Train(), t0) })
+	t1 := t0.Add(200 * sim.Nanosecond)
+	r.e.Schedule(t1, func() { in2.Transmit(wire.NewFrame(probe(80, 64)).Train(), t1) })
+	r.e.Run()
+	if len(r.rx) != 2 {
+		t.Fatalf("delivered %d, want 2", len(r.rx))
+	}
+	for i, sent := range []sim.Time{t0, t1} {
+		ready := sent.Add(ser).Add(r.sw.cfg.PipelineLatency)
+		if start := r.rx[i].Add(-ser); start < ready {
+			t.Errorf("frame %d started at %v, before its pipeline-ready instant %v", i, start.Sub(t0), ready.Sub(t0))
+		}
+	}
+}

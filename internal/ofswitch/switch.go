@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"osnt/internal/openflow"
-	"osnt/internal/ring"
 	"osnt/internal/sim"
 	"osnt/internal/stats"
 	"osnt/internal/wire"
@@ -161,7 +160,9 @@ func New(e *sim.Engine, cfg Config) *Switch {
 		table:  NewFlowTable(cfg.TableCap, cfg.ExactFastPath),
 	}
 	for i := 0; i < cfg.Ports; i++ {
-		s.ports = append(s.ports, &Port{sw: s, index: i})
+		p := &Port{sw: s, index: i}
+		p.tx.Init(e, cfg.EgressQueueCap, p.trySend)
+		s.ports = append(s.ports, p)
 	}
 	return s
 }
@@ -270,19 +271,14 @@ type Port struct {
 	sw    *Switch
 	index int
 
-	link *wire.Link
-	// queue is the egress FIFO of runs (a single frame is a run of one;
-	// queueFrames counts the frames): a circular buffer reused across
-	// packets, drained by one reusable event per port, so steady-state
-	// egress queueing allocates nothing per packet.
-	queue       ring.FIFO[*wire.Train]
-	queueFrames int
-	busy        bool
-	txEv        *sim.Event // reusable: at most one transmission in flight
-	drops       uint64
+	// tx is the egress queue and MAC: a bounded FIFO of runs (a single
+	// frame is a run of one), each sent no earlier than its own
+	// pipeline-ready instant.
+	tx    wire.TxQueue
+	drops uint64
 
-	rx stats.Counter
-	tx stats.Counter
+	rxStats stats.Counter
+	txStats stats.Counter
 }
 
 // Index returns the port index (OF port Index()+1).
@@ -292,17 +288,17 @@ func (p *Port) Index() int { return p.index }
 func (p *Port) OFPort() uint16 { return uint16(p.index + 1) }
 
 // SetLink attaches the egress link.
-func (p *Port) SetLink(l *wire.Link) { p.link = l }
+func (p *Port) SetLink(l *wire.Link) { p.tx.SetLink(l) }
 
 // Drops returns egress queue overflow drops.
 func (p *Port) Drops() uint64 { return p.drops }
 
 // RxStats and TxStats return the port counters (frame sizes, FCS
 // inclusive).
-func (p *Port) RxStats() stats.Counter { return p.rx }
+func (p *Port) RxStats() stats.Counter { return p.rxStats }
 
 // TxStats returns the transmit counters.
-func (p *Port) TxStats() stats.Counter { return p.tx }
+func (p *Port) TxStats() stats.Counter { return p.txStats }
 
 // Receive implements wire.Endpoint: dataplane arrival of a run of
 // frames. The switch owns the delivered frames: each is either
@@ -319,7 +315,7 @@ func (p *Port) Receive(t *wire.Train, _ sim.Time, at sim.Time) {
 		n := uint64(t.Len())
 		size := t.Frames[0].Size
 		for range t.Frames {
-			p.rx.Add(size)
+			p.rxStats.Add(size)
 		}
 		entry.Packets += n
 		entry.Bytes += n * uint64(size)
@@ -366,7 +362,7 @@ func (s *Switch) coalesce(p *Port, t *wire.Train) (*Entry, *Port) {
 		return nil, nil
 	}
 	out := s.ports[act.Port-1]
-	if out.link == nil || out.busy || out.queue.Len() > 0 {
+	if out.tx.Link() == nil || !out.tx.Idle() {
 		return nil, nil
 	}
 	return entry, out
@@ -374,7 +370,7 @@ func (s *Switch) coalesce(p *Port, t *wire.Train) (*Entry, *Port) {
 
 // receive is the dataplane for one frame arriving at instant at.
 func (s *Switch) receive(p *Port, f *wire.Frame, at sim.Time) {
-	p.rx.Add(f.Size)
+	p.rxStats.Add(f.Size)
 	key, err := openflow.KeyFromPacket(f.Data, p.OFPort())
 	if err != nil {
 		s.runtDrops++
@@ -461,7 +457,7 @@ func (s *Switch) applyActions(actions []openflow.Action, f *wire.Frame, in *Port
 func (s *Switch) lastFloodEligible(in *Port) int {
 	last := -1
 	for i, p := range s.ports {
-		if p != in && p.link != nil {
+		if p != in && p.tx.Link() != nil {
 			last = i
 		}
 	}
@@ -515,7 +511,7 @@ func (s *Switch) output(act *openflow.ActionOutput, f *wire.Frame, in *Port, rea
 	case act.Port == openflow.PortFlood || act.Port == openflow.PortAll:
 		lastEligible := s.lastFloodEligible(in)
 		for i, p := range s.ports {
-			if p == in || p.link == nil {
+			if p == in || p.tx.Link() == nil {
 				continue
 			}
 			if i == lastEligible {
@@ -534,56 +530,39 @@ func (s *Switch) output(act *openflow.ActionOutput, f *wire.Frame, in *Port, rea
 	}
 }
 
+// enqueue queues run t for transmission from earliest on, or drops it:
+// toward a port with no link (a black hole, as on hardware, attributed
+// like every other loss) or into a full queue.
 func (p *Port) enqueue(t *wire.Train, earliest sim.Time) {
-	n := uint64(t.Len())
-	if p.link == nil {
-		// Unconnected port: black hole, as hardware would — but the
-		// ledger still attributes the loss.
-		p.sw.unconnDrops += n
-		p.sw.ledger.Report(p.sw.dropHop, wire.DropUnconnected, n)
-		t.Release()
-		return
-	}
-	if p.queueFrames >= p.sw.cfg.EgressQueueCap {
-		p.drops += n
-		p.sw.ledger.Report(p.sw.dropHop, wire.DropEgressOverflow, n)
+	n := t.Len()
+	if why, ok := p.tx.Push(t, n, earliest, wire.DropEgressOverflow); !ok {
+		if why == wire.DropUnconnected {
+			p.sw.unconnDrops += uint64(n)
+		} else {
+			p.drops += uint64(n)
+		}
+		p.sw.ledger.Report(p.sw.dropHop, why, uint64(n))
 		t.Release()
 		return
 	}
 	for _, f := range t.Frames {
 		f.SrcPort = p.index
 	}
-	p.queue.Push(t)
-	p.queueFrames += t.Len()
-	p.sendFrom(earliest)
+	p.trySend()
 }
 
-func (p *Port) sendFrom(earliest sim.Time) {
-	if p.busy || p.queue.Len() == 0 {
+// trySend transmits the head run when the MAC is free. It is also the
+// MAC's completion callback.
+func (p *Port) trySend() {
+	t, start, ok := p.tx.Next()
+	if !ok {
 		return
 	}
-	t := p.queue.Pop()
-	p.queueFrames -= t.Len()
-	p.busy = true
 	for _, f := range t.Frames {
-		p.tx.Add(f.Size)
+		p.txStats.Add(f.Size)
 		p.sw.forwarded.Add(f.Size)
 	}
-	end := p.link.Transmit(t, earliest)
-	eventAt := end
-	if now := p.sw.Engine.Now(); eventAt < now {
-		eventAt = now
-	}
-	if p.txEv == nil {
-		p.txEv = p.sw.Engine.Schedule(eventAt, p.txDone)
-	} else {
-		p.sw.Engine.Reschedule(p.txEv, eventAt)
-	}
-}
-
-func (p *Port) txDone() {
-	p.busy = false
-	p.sendFrom(p.sw.Engine.Now())
+	p.tx.Send(t, start)
 }
 
 // String describes the switch.

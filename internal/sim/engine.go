@@ -537,6 +537,16 @@ func (e *Engine) Passed(at Time, seq uint64) bool {
 	return e.curPrio == PrioDefault && seq < e.curSeq
 }
 
+// Reached reports whether an event queued under the key
+// (at, PrioDefault, seq) has fired or is firing now: Passed, or the key
+// of the event whose callback is running.
+func (e *Engine) Reached(at Time, seq uint64) bool {
+	if at != e.now {
+		return at < e.now
+	}
+	return e.curPrio == PrioDefault && seq <= e.curSeq
+}
+
 // RescheduleReserved re-arms a fired (or never queued) event under a key
 // taken by Reserve, which must not have passed yet.
 func (e *Engine) RescheduleReserved(ev *Event, at Time, seq uint64) {

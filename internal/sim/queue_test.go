@@ -81,15 +81,22 @@ func (m *refEngine) passed(at Time, seq uint64) bool {
 	return m.curPrio == PrioDefault && seq < m.curSeq
 }
 
+func (m *refEngine) reached(at Time, seq uint64) bool {
+	if at != m.now {
+		return at < m.now
+	}
+	return m.curPrio == PrioDefault && seq <= m.curSeq
+}
+
 // TestPropertyQueueMatchesSortedReference drives the engine and a
 // sorted-scan reference model through the same seeded mix of every
 // queue operation — Schedule and SchedulePrio with dense same-instant
 // ties, Cancel, Reprogram of queued and fired events, Ticker
 // Stop/Reset, Peek, Step, RunUntil (followed by scheduling at Now), Run
-// cut short by Stop, and the Reserve/Passed/RescheduleReserved
+// cut short by Stop, and the Reserve/Passed/Reached/RescheduleReserved
 // primitives — and checks after every operation that both agree on the
 // order events fired in, the clock, every event's Pending state, every
-// outstanding reservation's Passed verdict and Peek.
+// outstanding reservation's Passed and Reached verdicts and Peek.
 func TestPropertyQueueMatchesSortedReference(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 0xc0ffee} {
 		checkQueueAgainstReference(t, seed)
@@ -307,6 +314,13 @@ func checkQueueAgainstReference(t *testing.T, seed uint64) {
 			if got, want := e.Passed(res.at, res.seq), m.passed(res.at, res.seq); got != want {
 				t.Fatalf("seed %d op %d: Passed(%v, %d) = %v, reference %v", seed, op, res.at, res.seq, got, want)
 			}
+			if got, want := e.Reached(res.at, res.seq), m.reached(res.at, res.seq); got != want {
+				t.Fatalf("seed %d op %d: Reached(%v, %d) = %v, reference %v", seed, op, res.at, res.seq, got, want)
+			}
+		}
+		// The key of the event fired last has been reached, not passed.
+		if got, want := e.Reached(m.now, m.curSeq), m.reached(m.now, m.curSeq); got != want {
+			t.Fatalf("seed %d op %d: Reached at the last fired key = %v, reference %v", seed, op, got, want)
 		}
 	}
 	if len(got) < 1000 {

@@ -191,7 +191,7 @@ func New(e *sim.Engine, cfg Config) *Switch {
 	for i := 0; i < cfg.Ports; i++ {
 		p := &Port{sw: s, index: i}
 		p.lookupEv = sim.NewEvent(p.lookupDone)
-		p.txEv = sim.NewEvent(p.txDone)
+		p.tx.Init(e, cfg.EgressQueueCap, p.trySend)
 		s.ports = append(s.ports, p)
 	}
 	return s
@@ -398,14 +398,14 @@ func (s *Switch) trainViable(p *Port, t *wire.Train, at sim.Time) bool {
 		return false
 	}
 	op := s.ports[out]
-	if op.link == nil {
+	if op.tx.Link() == nil {
 		return false
 	}
 	if wire.SerializationTime(size, s.PortRate(out)) != wire.SerializationTime(size, t.Rate) {
 		return false
 	}
 	ecap := s.cfg.EgressQueueCap
-	return op.queueFrames+n <= ecap/2 && n <= ecap/4
+	return op.tx.Len()+n <= ecap/2 && n <= ecap/4
 }
 
 // receive admits one lookup-FIFO entry — a frame, or a run trainViable
@@ -560,7 +560,7 @@ func (s *Switch) flood(d pendingLookup) {
 		f := t.Take(i)
 		s.floods++
 		for j, port := range s.ports {
-			if j == d.inPort || port.link == nil {
+			if j == d.inPort || port.tx.Link() == nil {
 				continue
 			}
 			if g := s.groupOf[j]; g != 0 {
@@ -612,7 +612,7 @@ func (s *Switch) dispatch(d pendingLookup, out int) {
 	}
 	n := d.n
 	qcap := s.cfg.EgressQueueCap
-	if n == 1 || serOut >= d.span && p.link != nil && p.queueFrames+n <= qcap/2 && n <= qcap/4 {
+	if n == 1 || serOut >= d.span && p.tx.Link() != nil && p.tx.Len()+n <= qcap/2 && n <= qcap/4 {
 		p.enqueue(t, n, earliest, boundary)
 		return
 	}
@@ -627,31 +627,11 @@ type Port struct {
 	sw    *Switch
 	index int
 
-	link *wire.Link
-	// queue is the egress FIFO; entries are held by value and the backing
-	// array is recycled across packets, so steady-state egress queueing
-	// allocates nothing.
-	queue  ring.FIFO[queued]
-	busy   bool
-	txEv   *sim.Event // reusable: at most one transmission in flight
+	// tx is the egress queue and MAC: a bounded FIFO of runs (a single
+	// frame is a run of one) drained onto the egress link.
+	tx     wire.TxQueue
 	drops  uint64
 	egress stats.Counter
-
-	// A transmission that leaves the egress queue empty does not queue
-	// txEv: its completion would only mark the MAC free. txIdle records
-	// that the MAC is busy until the reserved key (idleAt, idleSeq) —
-	// the key txEv would have fired under. An enqueue that finds the
-	// key not yet passed queues txEv under it; one that finds it passed
-	// sees a free MAC. Either way every observable instant and event
-	// order is the one the queued completion would have produced.
-	txIdle  bool
-	idleAt  sim.Time
-	idleSeq uint64
-
-	// queueFrames counts frames (not FIFO entries) pending in the egress
-	// queue: a train entry carries many, so the cap check and QueueDepth
-	// need the frame count.
-	queueFrames int
 
 	// Ingress lookup pipeline state: a FIFO of frames whose lookup is in
 	// flight, drained by one reusable event (see lookupDone).
@@ -663,19 +643,11 @@ type Port struct {
 	lookupFrames int
 }
 
-// queued is one egress-FIFO entry: a frame (a run of one) or a coalesced
-// run of n frames, transmitted in one MAC pass from earliest on.
-type queued struct {
-	run      *wire.Train
-	n        int
-	earliest sim.Time
-}
-
 // Index returns the port number.
 func (p *Port) Index() int { return p.index }
 
 // SetLink attaches the egress link.
-func (p *Port) SetLink(l *wire.Link) { p.link = l }
+func (p *Port) SetLink(l *wire.Link) { p.tx.SetLink(l) }
 
 // Receive implements wire.Endpoint: a run trainViable passes — a single
 // frame, or a uniform run inside the exactness envelope — flows through
@@ -706,65 +678,45 @@ func (p *Port) Drops() uint64 { return p.drops }
 func (p *Port) Egress() stats.Counter { return p.egress }
 
 // QueueDepth returns the instantaneous egress queue occupancy in frames.
-func (p *Port) QueueDepth() int { return p.queueFrames }
+func (p *Port) QueueDepth() int { return p.tx.Len() }
 
 // enqueue queues the n-frame run t for transmission from earliest on,
 // or drops it: toward a port with no link (a black hole, as on hardware,
 // attributed like every other loss) or into a full queue.
 func (p *Port) enqueue(t *wire.Train, n int, earliest sim.Time, boundary bool) {
-	if p.link == nil {
-		p.sw.unconnDrops += uint64(n)
-		p.sw.ledger.Report(p.sw.dropHop, wire.DropUnconnected, uint64(n))
-		t.Release()
-		return
+	full := wire.DropEgressOverflow
+	if boundary {
+		full = wire.DropRateBoundary
 	}
-	if p.queueFrames >= p.sw.cfg.EgressQueueCap {
-		p.drops += uint64(n)
-		reason := wire.DropEgressOverflow
-		if boundary {
-			reason = wire.DropRateBoundary
+	if why, ok := p.tx.Push(t, n, earliest, full); !ok {
+		if why == wire.DropUnconnected {
+			p.sw.unconnDrops += uint64(n)
+		} else {
+			p.drops += uint64(n)
 		}
-		p.sw.ledger.Report(p.sw.dropHop, reason, uint64(n))
+		p.sw.ledger.Report(p.sw.dropHop, why, uint64(n))
 		t.Release()
 		return
 	}
-	p.queue.Push(queued{run: t, n: n, earliest: earliest})
-	p.queueFrames += n
 	p.trySend()
 }
 
 // trySend starts serialising the head entry of the egress queue when the
 // MAC is free: one link call per entry, with per-frame counters and hop
-// stamps, and one completion event per entry that has others queued
-// behind it (see txIdle).
+// stamps. It is also the MAC's completion callback.
 //
 //lint:hotpath
 func (p *Port) trySend() {
-	e := p.sw.Engine
-	if p.busy {
-		if !p.txIdle {
-			return // txEv is queued and sends the next entry
-		}
-		if !e.Passed(p.idleAt, p.idleSeq) {
-			e.RescheduleReserved(p.txEv, p.idleAt, p.idleSeq)
-			p.txIdle = false
-			return
-		}
-		p.busy, p.txIdle = false, false
-	}
-	if p.queue.Len() == 0 {
+	t, start, ok := p.tx.Next()
+	if !ok {
 		return
 	}
-	q := p.queue.Pop()
-	t := q.run
-	p.queueFrames -= q.n
-	p.busy = true
-	rate := p.link.Rate
 	if id := p.sw.cfg.HopID; id != 0 {
 		// Stamp each frame's egress instant — its last bit leaving — while
 		// the switch still owns it: the link serialises the run back to
-		// back from the later of earliest and its busy horizon.
-		at := max(q.earliest, p.link.BusyUntil())
+		// back from start.
+		rate := p.tx.Link().Rate
+		at := start
 		for _, f := range t.Frames {
 			at = at.Add(wire.SerializationTime(f.Size, rate))
 			f.Trace.Stamp(id, at)
@@ -775,16 +727,5 @@ func (p *Port) trySend() {
 		p.egress.Add(wb)
 		p.sw.forwarded.Add(wb)
 	}
-	end := p.link.Transmit(t, q.earliest)
-	eventAt := max(end, e.Now())
-	if p.queue.Len() == 0 {
-		p.idleAt, p.idleSeq, p.txIdle = eventAt, e.Reserve(eventAt), true
-		return
-	}
-	e.Reschedule(p.txEv, eventAt)
-}
-
-func (p *Port) txDone() {
-	p.busy = false
-	p.trySend()
+	p.tx.Send(t, start)
 }

@@ -36,7 +36,7 @@ const (
 	DropFilterReject
 	// DropNoRule is an OpenFlow table miss with no controller attached.
 	DropNoRule
-	// DropUnconnected is a frame forwarded out a port with no link.
+	// DropUnconnected is a frame sent out a port with no link.
 	DropUnconnected
 	// DropTxOverflow is a card TX queue overflowing because software
 	// offered more than line rate.
