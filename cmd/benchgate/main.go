@@ -28,9 +28,10 @@
 // diff step.
 //
 // Measurements run with Workers=1: serial sweeps keep allocation counts
-// reproducible (parallel workers shuffle sync.Pool hit rates), and the
-// gate's wall-time figures stay comparable across differently loaded CI
-// machines. ns/op takes the minimum across -count runs — the classic
+// reproducible (with parallel workers, how many frames the shared
+// wire.DefaultPool must allocate depends on how their sweep points
+// overlap), and the gate's wall-time figures stay comparable across
+// differently loaded CI machines. ns/op takes the minimum across -count runs — the classic
 // noise-resistant estimator — and allocs/op likewise.
 package main
 

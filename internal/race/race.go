@@ -1,6 +1,5 @@
 // Package race reports whether the Go race detector is compiled into
-// this binary. Allocation-regression tests consult it: under -race,
-// sync.Pool intentionally drops a fraction of Puts to shake out
-// lifetime bugs, so strict zero-allocation assertions only hold in
-// normal builds.
+// this binary. Experiment tests consult it: race instrumentation slows
+// the simulator by an order of magnitude, so they shorten or skip the
+// full-duration sweeps and the wall-clock speedup ratios it distorts.
 package race

@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Pool recycles Frame structs and their backing buffers across the
 // per-packet hot path. A generator at 10 Gb/s line rate creates 14.88 M
@@ -22,15 +19,25 @@ import (
 // like any other allocation, so forgetting Release costs speed, never
 // correctness.
 //
+// The free lists are plain LIFO stacks, not a sync.Pool: a garbage
+// collection does not empty them, so a scenario that holds tens of
+// thousands of frames in its queues stops allocating once it has
+// warmed up, however often the collector runs. The price is retention:
+// a Pool keeps every frame released to it, and it never holds more
+// frames than were outstanding at once (a frame is allocated only when
+// the free list is empty), each with the largest Data buffer it was
+// asked for. That high-water mark stays live until the Pool itself is
+// dropped.
+//
 // A Pool is safe for concurrent use; the parallel experiment runner's
-// workers share one.
+// workers and a shard cluster's engines share one. One mutex guards both
+// free lists and the counters.
 type Pool struct {
-	p  sync.Pool
-	tp sync.Pool // Train containers (the Frames inside recycle via p)
+	mu     sync.Mutex
+	frames *Frame   // free frames, linked through Frame.next
+	trains []*Train // free Train containers (their Frames recycle via frames)
 
-	gets  atomic.Uint64
-	puts  atomic.Uint64
-	fresh atomic.Uint64
+	gets, puts, fresh uint64
 }
 
 // NewPool returns an empty frame pool.
@@ -49,10 +56,16 @@ var DefaultPool = NewPool()
 // the FCS-inclusive Size set accordingly. The frame remembers its pool,
 // so Release on it (from any package) returns it here.
 func (p *Pool) Get(n int) *Frame {
-	p.gets.Add(1)
-	f, _ := p.p.Get().(*Frame)
+	p.mu.Lock()
+	p.gets++
+	f := p.frames
+	if f != nil {
+		p.frames, f.next = f.next, nil
+	} else {
+		p.fresh++
+	}
+	p.mu.Unlock()
 	if f == nil {
-		p.fresh.Add(1)
 		f = &Frame{}
 	}
 	if cap(f.Data) < n {
@@ -69,17 +82,27 @@ func (p *Pool) Get(n int) *Frame {
 
 // put returns a frame to the pool. Callers go through Frame.Release,
 // which clears the pool pointer first so a double release degrades to a
-// no-op instead of corrupting the free list.
+// no-op instead of linking the frame into the free list twice.
 func (p *Pool) put(f *Frame) {
-	p.puts.Add(1)
-	p.p.Put(f)
+	p.mu.Lock()
+	p.puts++
+	f.next = p.frames
+	p.frames = f
+	p.mu.Unlock()
 }
 
 // GetTrain returns an empty Train container whose Frames slice (backing
 // array included) recycles across batches, so steady-state coalescing
 // allocates nothing per train.
 func (p *Pool) GetTrain() *Train {
-	t, _ := p.tp.Get().(*Train)
+	var t *Train
+	p.mu.Lock()
+	if n := len(p.trains); n > 0 {
+		t = p.trains[n-1]
+		p.trains[n-1] = nil
+		p.trains = p.trains[:n-1]
+	}
+	p.mu.Unlock()
 	if t == nil {
 		t = &Train{}
 	}
@@ -94,12 +117,16 @@ func (p *Pool) GetTrain() *Train {
 // Train.Recycle, which clears the pool pointer first so a double recycle
 // degrades to a no-op.
 func (p *Pool) putTrain(t *Train) {
-	p.tp.Put(t)
+	p.mu.Lock()
+	p.trains = append(p.trains, t)
+	p.mu.Unlock()
 }
 
 // Stats reports cumulative gets, releases, and fresh allocations. In a
 // warmed-up steady state fresh stops growing — the property the
 // allocation-regression tests pin down.
 func (p *Pool) Stats() (gets, puts, fresh uint64) {
-	return p.gets.Load(), p.puts.Load(), p.fresh.Load()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.gets, p.puts, p.fresh
 }

@@ -2,9 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"runtime"
+	"sync"
 	"testing"
 
-	"osnt/internal/race"
 	"osnt/internal/sim"
 )
 
@@ -28,6 +29,54 @@ func TestReleaseIsIdempotentAndSafeOnUnpooled(t *testing.T) {
 	f := p.Get(8)
 	f.Release()
 	f.Release() // second release: no-op, must not double-insert
+	// A frame linked in twice would be a cycle in the free list: two Gets
+	// would hand out the same frame.
+	a, b := p.Get(8), p.Get(8)
+	if a == b {
+		t.Fatal("double release linked the frame into the free list twice")
+	}
+	if _, puts, _ := p.Stats(); puts != 1 {
+		t.Fatalf("puts=%d after a double release, want 1", puts)
+	}
+}
+
+// TestPoolConcurrentGetRelease shares one pool between goroutines that
+// each hold a handful of frames at a time (run it under -race): no frame
+// is handed to two holders at once, every Get is matched by a put, and
+// the pool allocates no more frames than were outstanding at once.
+func TestPoolConcurrentGetRelease(t *testing.T) {
+	const workers, rounds, held = 4, 500, 8
+	p := NewPool()
+	var wg sync.WaitGroup
+	for w := 1; w <= workers; w++ {
+		wg.Add(1)
+		go func(owner int) {
+			defer wg.Done()
+			var fs [held]*Frame
+			for r := 0; r < rounds; r++ {
+				for i := range fs {
+					fs[i] = p.Get(32)
+					fs[i].SrcPort = owner
+				}
+				runtime.Gosched()
+				for _, f := range fs {
+					if f.SrcPort != owner {
+						t.Errorf("frame held by %d was handed to %d", owner, f.SrcPort)
+						return
+					}
+					f.Release()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	gets, puts, fresh := p.Stats()
+	if gets != workers*rounds*held || puts != gets {
+		t.Fatalf("gets=%d puts=%d, want both %d", gets, puts, workers*rounds*held)
+	}
+	if fresh > workers*held {
+		t.Fatalf("fresh=%d exceeds the %d frames ever outstanding at once", fresh, workers*held)
+	}
 }
 
 func TestCopyFromReusesBuffer(t *testing.T) {
@@ -78,9 +127,6 @@ func TestPoolStatsTrackRecycling(t *testing.T) {
 // Steady-state link delivery must not allocate: the delivery record, its
 // event, and its closure are all recycled per link.
 func TestLinkDeliveryZeroAllocSteadyState(t *testing.T) {
-	if race.Enabled {
-		t.Skip("sync.Pool drops Puts under -race; strict alloc bound only holds in normal builds")
-	}
 	e := sim.NewEngine()
 	p := NewPool()
 	var got int

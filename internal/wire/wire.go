@@ -146,11 +146,13 @@ type Frame struct {
 
 	// pool, when non-nil, is where Release returns this frame.
 	pool *Pool
+	// next links the frame into its pool's free list while released.
+	next *Frame
 
 	// The padding rounds Frame up to the 256-byte allocation class, whose
 	// objects are 64-byte aligned, so the fields a hop reads through the
 	// view — Data, Size, self and one.Frames — share one cache line.
-	_ [2]uint64
+	_ uint64
 }
 
 // NewFrame wraps data (header..payload, no FCS) as a full-length frame.
